@@ -4,20 +4,16 @@ from .grid import (
     ScalarField,
     TorusGrid,
     VectorField,
-    geodesic_distance,
     h_norm,
     lp_norm,
 )
 from .spectral import (
-    SpectralField,
-    dealias,
     divergence,
-    forward,
     gradient,
-    inverse,
     laplacian,
     leray_project,
     perp_gradient,
+    spectral_core,
 )
 from .mollify import Mollifier, UnderResolvedKernelError, dyadic_schedule, kernel_field, mollify
 from .library import (

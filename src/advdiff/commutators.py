@@ -21,7 +21,7 @@ from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
 from .library import FieldSpec, instantiate
 from .mollify import MIN_DELTA_FACTOR, Mollifier, mollify
 from .solver import Trajectory
-from .spectral import divergence, gradient, _derivative_square_modulus
+from .spectral import divergence, gradient, spectral_core
 
 __all__ = [
     "L1_SPACETIME",
@@ -258,7 +258,8 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     b_field = b if isinstance(b, VectorField) else instantiate(b, grid, 0.0)
     times = np.asarray(traj.times, dtype=np.float64)
     cell = grid.cell_volume
-    grad_sym = 4.0 * np.pi**2 * _derivative_square_modulus(grid)
+    core = spectral_core(grid)
+    grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
     size = grid.size
 
     out = []
@@ -268,8 +269,7 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
         grad_sq = []
         pairing = []
         for state, us in zip(traj.states, smooth):
-            uh = np.fft.fftn(us.values)
-            grad_sq.append(float(np.sum(grad_sym * (uh.real**2 + uh.imag**2))) / size**2)
+            grad_sq.append(core.parseval_sum(core.forward(us.values), grad_sym) / size**2)
             r = commutator(b_field, state, m)
             pairing.append(float(np.sum(r.values * us.values)) * cell)
         half_start = 0.5 * lp_norm(smooth[0], 2.0) ** 2

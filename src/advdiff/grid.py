@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -13,11 +11,9 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "VectorField",
-    "geodesic_distance",
+    "lp_from_values",
     "lp_norm",
     "h_norm",
-    "integer_wavenumbers",
-    "wavenumber_square_modulus",
     "wrapped_displacement",
 ]
 
@@ -182,34 +178,13 @@ class VectorField:
     __rmul__ = __mul__
 
 
-def geodesic_distance(x, y) -> float:
-    """Distance on the torus: min over integer shifts k with |k| <= 2 of |x - y - k|.
-
-    Coordinates must lie in [0,1)^d.  The shift search radius follows the
-    definition literally even though |k| <= 1 already suffices on [0,1)^d.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if xv.shape != yv.shape or xv.ndim != 1 or not 1 <= xv.size <= 3:
-        raise ValueError("x and y must be points of equal dimension 1, 2 or 3")
-    for v in (xv, yv):
-        if np.any(v < 0.0) or np.any(v >= 1.0):
-            raise ValueError("coordinates must lie in [0,1)")
-    best = math.inf
-    for k in itertools.product(range(-2, 3), repeat=xv.size):
-        kv = np.asarray(k, dtype=np.float64)
-        if kv @ kv > 4.0:
-            continue
-        best = min(best, float(np.linalg.norm(xv - yv - kv)))
-    return best
-
-
 def wrapped_displacement(coords, center) -> list[np.ndarray]:
     """Per-axis displacement coords - center wrapped to [-1/2, 1/2)."""
     return [np.mod(c - ci + 0.5, 1.0) - 0.5 for c, ci in zip(coords, center)]
 
 
-def _lp_from_values(values: np.ndarray, p: float, cell_volume: float) -> float:
+def lp_from_values(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """L^p norm of raw grid samples by the rectangle rule; p is not validated."""
     if math.isinf(p):
         return float(np.max(np.abs(values)))
     if p == 1.0:
@@ -230,37 +205,7 @@ def lp_norm(f: ScalarField, p: float) -> float:
     p = float(p)
     if not (p >= 1.0 or math.isinf(p)):
         raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    return _lp_from_values(f.values, p, f.grid.cell_volume)
-
-
-@lru_cache(maxsize=64)
-def _wavenumber_cache(grid: TorusGrid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    n = grid.points_per_axis
-    k1 = (np.fft.fftfreq(n) * n).astype(np.float64)  # lattice {-N/2, ..., N/2-1} reordered
-    axes = np.meshgrid(*([k1] * grid.dim), indexing="ij", sparse=True)
-    ksq = sum(a * a for a in axes)
-    ksq = np.ascontiguousarray(np.broadcast_to(ksq, grid.shape))
-    ksq.flags.writeable = False
-    frozen = []
-    for a in axes:
-        a = a.copy()
-        a.flags.writeable = False
-        frozen.append(a)
-    return tuple(frozen), ksq
-
-
-def integer_wavenumbers(grid: TorusGrid) -> tuple[np.ndarray, ...]:
-    """Broadcastable integer frequency lattice, one array per axis.
-
-    Frequencies follow the FFT layout; only |k| enters the norms and the
-    projector, so the sign convention at the Nyquist plane is immaterial.
-    """
-    return _wavenumber_cache(grid)[0]
-
-
-def wavenumber_square_modulus(grid: TorusGrid) -> np.ndarray:
-    """|k|^2 on the full integer lattice (dense array of grid shape)."""
-    return _wavenumber_cache(grid)[1]
+    return lp_from_values(f.values, p, f.grid.cell_volume)
 
 
 def h_norm(f: ScalarField, s: int) -> float:
@@ -272,6 +217,8 @@ def h_norm(f: ScalarField, s: int) -> float:
     """
     if s not in (-1, 1):
         raise ValueError(f"s must be -1 or +1, got {s}")
-    coeffs = np.fft.fftn(f.values) / f.grid.size
-    mult = (1.0 + 4.0 * np.pi**2 * wavenumber_square_modulus(f.grid)) ** s
-    return float(np.sqrt(np.sum(mult * (coeffs.real**2 + coeffs.imag**2))))
+    from .spectral import spectral_core  # spectral builds on this module
+
+    core = spectral_core(f.grid)
+    coeffs = core.forward(f.values) / f.grid.size
+    return math.sqrt(core.parseval_sum(coeffs, (1.0 + 4.0 * np.pi**2 * core.ksq) ** s))

@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, wrapped_displacement
+from .spectral import spectral_core
 
 __all__ = [
     "GAUSSIAN_PERIODIZED",
@@ -108,7 +109,7 @@ def _kernel_multiplier(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     # Fourier coefficients of the sampled kernel; real because the kernel is
     # even.  The zero mode is pinned to 1 so convolution preserves the mean
     # exactly.
-    mult = (np.fft.fftn(_kernel_values(m, grid)) / grid.size).real
+    mult = (spectral_core(grid).forward(_kernel_values(m, grid)) / grid.size).real
     mult[(0,) * grid.dim] = 1.0
     mult.flags.writeable = False
     return mult
@@ -123,8 +124,8 @@ def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
 
 
 def _mollify_scalar(f: ScalarField, m: Mollifier) -> ScalarField:
-    mult = _kernel_multiplier(m, f.grid)
-    return ScalarField(f.grid, np.fft.ifftn(np.fft.fftn(f.values) * mult).real)
+    core = spectral_core(f.grid)
+    return ScalarField(f.grid, core.inverse(core.forward(f.values) * _kernel_multiplier(m, f.grid)))
 
 
 def mollify(f, m: Mollifier):

@@ -17,11 +17,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .grid import ScalarField, TorusGrid, VectorField, _lp_from_values, wavenumber_square_modulus
+from .grid import ScalarField, TorusGrid, VectorField, lp_from_values
 from .library import FieldSpec, instantiate, integrability_card
 from .mollify import Mollifier, mollify
-from .spectral import dealias_mask, gradient, laplacian
-from .spectral import _derivative_square_modulus, _derivative_wavenumbers  # shared symbols
+from .spectral import gradient, laplacian, spectral_core
 
 __all__ = [
     "SolverConfig",
@@ -171,14 +170,18 @@ class Trajectory:
 
 
 class _VelocitySampler:
-    """Uniform access to b(t) as grid arrays, with mollification and caching."""
+    """Uniform access to b(t) as grid arrays, with mollification and caching.
+
+    Each cached sample is (components, max |component|), so the per-step CFL
+    check never rescans a field it has already seen.
+    """
 
     def __init__(self, b, grid: TorusGrid, delta_b: float | None, profile: str):
         self.grid = grid
         self._moll = Mollifier(profile, delta_b) if delta_b is not None else None
-        self._static: tuple[np.ndarray, ...] | None = None
+        self._static: tuple[tuple[np.ndarray, ...], float] | None = None
         self._alternating: FieldSpec | None = None
-        self._parity_cache: dict[int, tuple[np.ndarray, ...]] = {}
+        self._parity_cache: dict[int, tuple[tuple[np.ndarray, ...], float]] = {}
         if b is None:
             self.is_zero = True
             return
@@ -200,12 +203,17 @@ class _VelocitySampler:
         else:
             raise TypeError(f"unsupported velocity source {type(b).__name__}")
 
-    def _prepare(self, v: VectorField) -> tuple[np.ndarray, ...]:
+    def _prepare(self, v: VectorField) -> tuple[tuple[np.ndarray, ...], float]:
         if self._moll is not None:
             v = mollify(v, self._moll)
-        return tuple(c.values for c in v.components)
+        comps = tuple(c.values for c in v.components)
+        return comps, max(float(np.max(np.abs(c))) for c in comps)
 
-    def _alternating_components(self, t: float) -> tuple[np.ndarray, ...]:
+    def _sample(self, t: float) -> tuple[tuple[np.ndarray, ...], float] | None:
+        if self.is_zero:
+            return None
+        if self._static is not None:
+            return self._static
         spec = self._alternating
         period = spec.param("period")
         parity = int(math.floor(t / period)) % 2
@@ -215,17 +223,12 @@ class _VelocitySampler:
         return self._parity_cache[parity]
 
     def components(self, t: float) -> tuple[np.ndarray, ...] | None:
-        if self.is_zero:
-            return None
-        if self._static is not None:
-            return self._static
-        return self._alternating_components(t)
+        sample = self._sample(t)
+        return None if sample is None else sample[0]
 
     def max_abs(self, t: float) -> float:
-        comps = self.components(t)
-        if comps is None:
-            return 0.0
-        return max(float(np.max(np.abs(c))) for c in comps)
+        sample = self._sample(t)
+        return 0.0 if sample is None else sample[1]
 
 
 def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
@@ -246,8 +249,9 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     if config.mollify_u0 is not None:
         u0 = mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
 
-    u_hat = np.fft.fftn(u0.values)
-    keep = dealias_mask(grid) if config.dealias else None
+    core = spectral_core(grid)
+    u_hat = core.forward(u0.values)
+    keep = core.keep if config.dealias else None
     if keep is not None:
         u_hat = np.where(keep, u_hat, 0.0)
 
@@ -272,23 +276,22 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
 
     # Integrating factors; with explicit diffusion the factors collapse to 1
     # and the Laplacian moves into the stage right-hand side.
-    lam = -4.0 * np.pi**2 * wavenumber_square_modulus(grid)
+    lam = -4.0 * np.pi**2 * core.ksq
     if config.diffusion == "integrating_factor":
         e_full = np.exp(lam * dt)
         e_half = np.exp(lam * 0.5 * dt)
     else:
-        e_full = np.ones(grid.shape)
-        e_half = np.ones(grid.shape)
+        e_full = e_half = np.ones(core.shape)
 
-    ik = tuple(2j * np.pi * k for k in _derivative_wavenumbers(grid))
-
-    def rhs(v_hat: np.ndarray, t: float) -> np.ndarray:
+    def rhs(v_hat: np.ndarray, t: float, v_real: np.ndarray | None = None) -> np.ndarray:
+        """Advection (and explicit diffusion) term; ``v_real`` is v_hat on the grid if already known."""
         comps = sampler.components(t)
-        out = np.zeros(grid.shape, dtype=np.complex128)
+        out = np.zeros(core.shape, dtype=np.complex128)
         if comps is not None:
-            u_real = np.fft.ifftn(v_hat).real
-            for ikj, bj in zip(ik, comps):
-                out -= ikj * np.fft.fftn(bj * u_real)
+            if v_real is None:
+                v_real = core.inverse(v_hat)
+            for ikj, bj in zip(core.ik, comps):
+                out -= ikj * core.forward(bj * v_real)
             if keep is not None:
                 out = np.where(keep, out, 0.0)
         if config.diffusion == "explicit":
@@ -304,14 +307,14 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     snapshot_steps: list[int] = []
     snapshots: list[ScalarField] = []
 
-    grad_sym = 4.0 * np.pi**2 * _derivative_square_modulus(grid)
+    grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
     cell = grid.cell_volume
 
     def record(step: int, t: float, cur_hat: np.ndarray, cur_real: np.ndarray) -> None:
         t_series.append(t)
         for q in LQ_EXPONENTS:
-            lq_series[q].append(_lp_from_values(cur_real, q, cell))
-        grad_sq_series.append(float(np.sum(grad_sym * (cur_hat.real**2 + cur_hat.imag**2))) / size**2)
+            lq_series[q].append(lp_from_values(cur_real, q, cell))
+        grad_sq_series.append(core.parseval_sum(cur_hat, grad_sym) / size**2)
         mean_series.append(cur_hat.flat[0].real / size)
         for name, bf in betas.items():
             beta_series[name].append(float(np.sum(bf.fn(cur_real))) * cell)
@@ -320,7 +323,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
                 snapshot_steps.append(step)
                 snapshots.append(ScalarField(grid, cur_real.copy()))
 
-    u_real = np.fft.ifftn(u_hat).real
+    u_real = core.inverse(u_hat)
     record(0, 0.0, u_hat, u_real)
 
     t = 0.0
@@ -329,7 +332,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         if dt > limit * (1.0 + 1e-12):
             raise SolverAbort(step, t, f"CFL violation: dt={dt:.6g} exceeds limit {limit:.6g}")
 
-        n0 = rhs(u_hat, t)
+        n0 = rhs(u_hat, t, u_real)  # u_real is the state record() has just seen
         if config.rk_order == 3:
             # Kutta's third-order scheme inside the integrating factor; all
             # exponentials decay because the stage times are nondecreasing.
@@ -350,7 +353,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         t = step * dt
         if not np.all(np.isfinite(u_hat)):
             raise SolverAbort(step, t, "non-finite state detected")
-        u_real = np.fft.ifftn(u_hat).real
+        u_real = core.inverse(u_hat)
         record(step, t, u_hat, u_real)
 
     grad_cum = cumulative_simpson(np.asarray(grad_sq_series), dx=dt, initial=0.0)

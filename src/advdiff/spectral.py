@@ -1,4 +1,10 @@
-"""Fourier transforms, exact spectral calculus, projection and dealiasing."""
+"""Real-to-complex spectral core: exact spectral calculus, projection and dealiasing.
+
+Every field in this package is real, so its Fourier coefficients live in the
+half-spectrum layout of ``scipy.fft.rfftn``: the last axis keeps only the
+modes 0, ..., N/2, the other axes keep the full FFT order.  One cached
+``SpectralCore`` per grid owns that layout and the symbols built on it.
+"""
 
 from __future__ import annotations
 
@@ -6,135 +12,113 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
-from .grid import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    integer_wavenumbers,
-)
+from .grid import ScalarField, TorusGrid, VectorField
 
 __all__ = [
-    "SpectralField",
-    "forward",
-    "inverse",
+    "SpectralCore",
+    "spectral_core",
     "gradient",
     "divergence",
     "laplacian",
     "perp_gradient",
     "leray_project",
-    "dealias",
-    "dealias_mask",
-    "translate",
     "divergence_defect",
 ]
 
-HERMITIAN_TOL = 1e-12
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
-def _reversed_lattice(coeffs: np.ndarray) -> np.ndarray:
-    """coeffs at -k, in the same FFT layout."""
-    out = np.flip(coeffs)
-    return np.roll(out, shift=[1] * coeffs.ndim, axis=list(range(coeffs.ndim)))
+@dataclass(frozen=True, eq=False)
+class SpectralCore:
+    """Half-spectrum layout of one grid and the symbols every operator shares.
 
+    Coefficients are unnormalized (``forward`` of a constant c is c * size at
+    k = 0).  ``wavenumbers`` is the integer lattice with the Nyquist mode
+    zeroed per axis: the lone +/-N/2 mode has no symmetric partner, so an odd
+    derivative symbol would break real-to-real symmetry.  ``ik`` holds the
+    derivative symbols 2 pi i k on that lattice, ``ksq`` the full |k|^2 and
+    ``derivative_ksq`` the Nyquist-zeroed one.  ``keep`` is the 2/3 dealias
+    mask and ``weights`` the Parseval multiplicity of each stored mode (1 on
+    the k_last = 0 and N/2 planes, 2 elsewhere).
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients on the integer lattice, normalized so coeffs[0,...] is the mean.
-
-    When ``real_data`` is set the Hermitian symmetry coeffs(-k) = conj(coeffs(k))
-    is verified on construction to 1e-12 relative.
+    The transforms are looked up on ``scipy.fft`` at every call, never stored.
     """
 
     grid: TorusGrid
-    coeffs: np.ndarray
-    real_data: bool = True
+    shape: tuple[int, ...]
+    wavenumbers: tuple[np.ndarray, ...]
+    ik: tuple[np.ndarray, ...]
+    ksq: np.ndarray
+    derivative_ksq: np.ndarray
+    keep: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {arr.shape} does not match grid shape {self.grid.shape}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-        if self.real_data:
-            scale = float(np.max(np.abs(arr)))
-            if scale > 0.0:
-                defect = float(np.max(np.abs(arr - np.conj(_reversed_lattice(arr)))))
-                if defect > HERMITIAN_TOL * scale:
-                    raise ValueError(f"Hermitian symmetry violated: defect {defect:.3e} at scale {scale:.3e}")
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return scipy.fft.rfftn(values)
 
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfftn(coeffs, s=self.grid.shape)
 
-def forward(f: ScalarField) -> SpectralField:
-    """Fourier coefficients of f; forward of a constant c has coeffs(0) = c."""
-    return SpectralField(f.grid, np.fft.fftn(f.values) / f.grid.size)
-
-
-def inverse(F: SpectralField) -> ScalarField:
-    """Back to grid samples; the (roundoff-sized) imaginary residue is dropped."""
-    return ScalarField(F.grid, np.fft.ifftn(F.coeffs * F.grid.size).real)
+    def parseval_sum(self, coeffs: np.ndarray, multiplier) -> float:
+        """sum over the full lattice of multiplier(k) |coeffs(k)|^2, for an even multiplier."""
+        return float(np.sum(self.weights * multiplier * (coeffs.real**2 + coeffs.imag**2)))
 
 
 @lru_cache(maxsize=64)
-def _derivative_wavenumbers(grid: TorusGrid) -> tuple[np.ndarray, ...]:
-    # Nyquist column zeroed per axis: the lone +/-N/2 mode has no symmetric
-    # partner, so an odd derivative symbol would break real-to-real symmetry.
-    out = []
-    nyq = grid.points_per_axis // 2
-    for a in integer_wavenumbers(grid):
-        a = a.copy()
-        a[np.abs(a) == nyq] = 0.0
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
+def spectral_core(grid: TorusGrid) -> SpectralCore:
+    """The cached spectral core of ``grid``."""
+    n = grid.points_per_axis
+    nyq = n // 2
+    full = np.fft.fftfreq(n) * n  # {0, ..., N/2-1, -N/2, ..., -1}
+    half = np.arange(nyq + 1, dtype=np.float64)
+    lattice = np.meshgrid(*([full] * (grid.dim - 1) + [half]), indexing="ij", sparse=True)
+    shape = grid.shape[:-1] + (nyq + 1,)
 
-
-@lru_cache(maxsize=64)
-def _derivative_square_modulus(grid: TorusGrid) -> np.ndarray:
-    ksq = sum(a * a for a in _derivative_wavenumbers(grid))
-    ksq = np.ascontiguousarray(np.broadcast_to(ksq, grid.shape))
-    ksq.flags.writeable = False
-    return ksq
-
-
-@lru_cache(maxsize=64)
-def dealias_mask(grid: TorusGrid) -> np.ndarray:
-    """Boolean mask keeping modes with every |k_j| <= N/3 (two-thirds rule)."""
-    cut = grid.points_per_axis / 3.0
-    keep = np.ones(grid.shape, dtype=bool)
-    for a in integer_wavenumbers(grid):
-        keep &= np.broadcast_to(np.abs(a) <= cut, grid.shape)
-    keep = np.ascontiguousarray(keep)
-    keep.flags.writeable = False
-    return keep
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |k_j| > N/3; idempotent."""
-    return SpectralField(F.grid, np.where(dealias_mask(F.grid), F.coeffs, 0.0), real_data=F.real_data)
+    wavenumbers = tuple(_frozen(np.where(np.abs(a) == nyq, 0.0, a)) for a in lattice)
+    ksq = np.broadcast_to(sum(a * a for a in lattice), shape)
+    keep = np.ones(shape, dtype=bool)
+    for a in lattice:
+        keep &= np.abs(a) <= n / 3.0
+    weights = np.full(nyq + 1, 2.0)
+    weights[0] = weights[nyq] = 1.0
+    return SpectralCore(
+        grid=grid,
+        shape=shape,
+        wavenumbers=wavenumbers,
+        ik=tuple(_frozen(2j * np.pi * k) for k in wavenumbers),
+        ksq=_frozen(ksq),
+        derivative_ksq=_frozen(np.broadcast_to(sum(k * k for k in wavenumbers), shape)),
+        keep=_frozen(keep),
+        weights=_frozen(weights),
+    )
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Exact spectral gradient: multiplication by i 2 pi k per axis."""
-    fh = np.fft.fftn(f.values)
-    comps = []
-    for k in _derivative_wavenumbers(f.grid):
-        comps.append(np.fft.ifftn(2j * np.pi * k * fh).real)
-    return VectorField.from_arrays(f.grid, comps)
+    core = spectral_core(f.grid)
+    fh = core.forward(f.values)
+    return VectorField.from_arrays(f.grid, [core.inverse(ikj * fh) for ikj in core.ik])
 
 
 def divergence(v: VectorField) -> ScalarField:
-    out = np.zeros(v.grid.shape, dtype=np.complex128)
-    for k, c in zip(_derivative_wavenumbers(v.grid), v.components):
-        out += 2j * np.pi * k * np.fft.fftn(c.values)
-    return ScalarField(v.grid, np.fft.ifftn(out).real)
+    core = spectral_core(v.grid)
+    out = np.zeros(core.shape, dtype=np.complex128)
+    for ikj, c in zip(core.ik, v.components):
+        out += ikj * core.forward(c.values)
+    return ScalarField(v.grid, core.inverse(out))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    fh = np.fft.fftn(f.values)
-    fh *= -4.0 * np.pi**2 * _derivative_square_modulus(f.grid)
-    return ScalarField(f.grid, np.fft.ifftn(fh).real)
+    core = spectral_core(f.grid)
+    fh = core.forward(f.values)
+    fh *= -4.0 * np.pi**2 * core.derivative_ksq
+    return ScalarField(f.grid, core.inverse(fh))
 
 
 def perp_gradient(psi: ScalarField) -> VectorField:
@@ -175,24 +159,11 @@ def leray_project(v: VectorField) -> VectorField:
         if float(np.max(vals) - np.min(vals)) <= 1e-13 * max(1.0, float(np.max(np.abs(vals)))):
             return VectorField(grid, v.components, divergence_free=True, notes=v.notes)
         raise ValueError("leray projection is trivial in one dimension: only constant fields are divergence-free")
-    ks = _derivative_wavenumbers(grid)
-    hats = [np.fft.fftn(c.values) for c in v.components]
-    ksq = np.broadcast_to(sum(k * k for k in ks), grid.shape).copy()
-    zero = ksq == 0.0  # mean mode and pure-Nyquist planes: invisible to derivatives
-    ksq[zero] = 1.0
+    core = spectral_core(grid)
+    ks = core.wavenumbers
+    hats = [core.forward(c.values) for c in v.components]
+    ksq = core.derivative_ksq
+    ksq = np.where(ksq == 0.0, 1.0, ksq)  # mean mode and pure-Nyquist planes: invisible to derivatives
     dot = sum(k * h for k, h in zip(ks, hats)) / ksq
-    comps = [np.fft.ifftn(h - k * dot).real for k, h in zip(ks, hats)]
+    comps = [core.inverse(h - k * dot) for k, h in zip(ks, hats)]
     return VectorField.from_arrays(grid, comps, divergence_free=True, notes=v.notes)
-
-
-def translate(f: ScalarField, shift) -> ScalarField:
-    """g(x) = f(x - shift), computed exactly through the phase factor e^{-2 pi i k.shift}."""
-    shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
-    if shift.size != f.grid.dim:
-        raise ValueError("shift dimension does not match the grid")
-    fh = np.fft.fftn(f.values)
-    phase = np.zeros(f.grid.shape)
-    for k, s in zip(integer_wavenumbers(f.grid), shift):
-        phase = phase + k * s
-    fh = fh * np.exp(-2j * np.pi * phase)
-    return ScalarField(f.grid, np.fft.ifftn(fh).real)

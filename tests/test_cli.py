@@ -70,6 +70,10 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path, "--out", str(a)]) == EXIT_OK
         assert main(["simulate", "--config", cfg_path, "--out", str(b)]) == EXIT_OK
         assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
+        snaps = sorted(p.name for p in a.glob("snapshot_*.torf"))
+        assert snaps and snaps == sorted(p.name for p in b.glob("snapshot_*.torf"))
+        for name in snaps:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = simulate_config(extra_block={"x": 1})
@@ -131,6 +135,22 @@ class TestCommutatorCommand:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["verdict"] == "decay"
         assert verdict["fitted_rate"] > 0.8
+
+    def test_deterministic_output_bytes(self, tmp_path):
+        cfg = {
+            "kind": "commutator",
+            "seed": 3,
+            "grid": {"dim": 2, "points_per_axis": 64},
+            "field": {"name": "power_singularity", "params": {"exponent": 1.25}},
+            "w": {"kind": "random_bandlimited", "max_mode": 4, "amplitude": 1.0},
+            "study": {"delta0": 0.1, "levels": 3, "norm": "L2_Hminus1"},
+        }
+        cfg_path = write_config(tmp_path, "com.json", cfg)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["commutator", "--config", cfg_path, "--out", str(a)]) == EXIT_OK
+        assert main(["commutator", "--config", cfg_path, "--out", str(b)]) == EXIT_OK
+        for name in ("decay.csv", "verdict.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_expectation_gate_failure(self, tmp_path):
         cfg = {

@@ -10,12 +10,12 @@ from advdiff.grid import (
     ScalarField,
     TorusGrid,
     VectorField,
-    geodesic_distance,
     h_norm,
     lp_norm,
 )
 
 from conftest import random_field
+from oracles import geodesic_distance
 
 SQRT_HALF = 0.7071067811865476
 

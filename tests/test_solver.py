@@ -238,6 +238,38 @@ class TestStepControl:
             solve(spec, sine_mode(g), SolverConfig(t_final=0.1, dt=1e-3))
 
 
+    def test_rk4_step_runs_at_most_twelve_transforms(self, monkeypatch):
+        # Four stages of one inverse and d forward transforms each, plus the
+        # inverse that record() needs; the first stage reuses that inverse.
+        # Every numpy.fft and scipy.fft transform is counted where it is
+        # looked up, so a transform cached anywhere would escape the count.
+        import numpy.fft
+        import scipy.fft
+
+        transforms = [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]
+        calls = []
+        for mod in (numpy.fft, scipy.fft):
+            for name in transforms:
+                original = getattr(mod, name)
+
+                def counted(*args, _original=original, **kwargs):
+                    calls.append(1)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        g = TorusGrid(2, 16)
+        u0 = random_field(g, seed=5, max_mode=3)
+        dt = 1e-3
+        counts = []
+        for n_steps in (3, 6):
+            calls.clear()
+            solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=n_steps * dt, dt=dt, rk_order=4))
+            counts.append(len(calls))
+        # the difference cancels the set-up transforms (field instantiation, the initial state)
+        assert counts[0] > 0
+        assert counts[1] - counts[0] <= 12 * 3
+
+
 class TestBetaDissipation:
     def test_affine_beta_reduces_to_mean_conservation(self):
         g = TorusGrid(2, 32)
