@@ -138,7 +138,7 @@ class TestLeray:
         v = VectorField.from_arrays(grid32, [rng.normal(size=grid32.shape) for _ in range(2)])
         p = leray_project(v)
         n = grid32.points_per_axis
-        hats = [np.fft.fftn(c.values) for c in v.components]  # full lattice, independent of the core
+        hats = [np.fft.fftn(c.values) for c in v.components]
         out = [np.zeros_like(hats[0]), np.zeros_like(hats[1])]
         for i, j in itertools.product(range(n), range(n)):
             k1 = i if i <= n // 2 else i - n
@@ -278,6 +278,20 @@ def test_core_gradient_divergence_laplacian_match_complex_oracle(grid):
     div = divergence(VectorField.from_arrays(grid, comps))
     assert _rel_err(div.values, oracles.divergence(comps, grid)) <= EQUIVALENCE_REL
     assert _rel_err(laplacian(ScalarField(grid, u)).values, oracles.laplacian(u, grid)) <= EQUIVALENCE_REL
+
+
+@equivalence_grids
+def test_core_odd_symbol_vanishes_on_the_last_axis_nyquist_plane(grid):
+    # the half layout stores k_last = N/2 as +N/2 where the full layout has
+    # -N/2; the odd derivative symbol must vanish there in both
+    (noise,) = _noise(grid, 1, seed=5)
+    u = noise[..., :1] * (-1.0) ** np.arange(grid.points_per_axis)  # only k_last = N/2 is live
+    ours = gradient(ScalarField(grid, u)).components
+    oracle = oracles.gradient(u, grid)
+    assert np.max(np.abs(ours[-1].values)) <= EQUIVALENCE_REL * np.max(np.abs(u))
+    assert np.max(np.abs(oracle[-1])) <= EQUIVALENCE_REL * np.max(np.abs(u))
+    for c, ref in zip(ours[:-1], oracle[:-1]):
+        assert _rel_err(c.values, ref) <= EQUIVALENCE_REL
 
 
 @equivalence_grids
