@@ -30,11 +30,7 @@ def main():
         rm = emit_region_map(d, inv_alpha, args.resolution)
         (args.out / f"{name}.svg").write_text(region_map_svg(rm))
         (args.out / f"{name}.csv").write_text(region_map_csv(rm))
-        labels = {}
-        for row in rm.reports:
-            for rep in row:
-                key = (rep.flags, rep.known_nonuniqueness, rep.open_questions)
-                labels[key] = labels.get(key, 0) + 1
+        labels = {rep.label for row in rm.reports for rep in row}
         print(f"{name}: {len(labels)} distinct regions over {args.resolution}^2 cells")
     print(f"wrote {3 * 2} files under {args.out}/")
 

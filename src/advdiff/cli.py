@@ -39,7 +39,7 @@ from .library import (
     integrability_card,
 )
 from .mollify import PROFILES, dyadic_schedule
-from .regimes import classify_exponents, emit_region_map, region_map_csv, region_map_svg
+from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
 from .solver import LQ_EXPONENTS, SolverAbort, SolverConfig, Trajectory, solve
 
 __all__ = ["main", "SchemaError", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
@@ -67,8 +67,9 @@ def _take(block: dict, key: str, kinds, default=_MISSING, context: str = "config
         return default
     else:
         raise SchemaError(f"{context}: missing required key {key!r}")
-    if kinds is not None and not isinstance(value, kinds):
-        names = kinds if isinstance(kinds, tuple) else (kinds,)
+    names = kinds if isinstance(kinds, tuple) else (kinds,)
+    # bool subclasses int, so true/false pass isinstance(value, int)
+    if kinds is not None and (not isinstance(value, kinds) or (isinstance(value, bool) and bool not in names)):
         raise SchemaError(
             f"{context}.{key}: expected {'/'.join(k.__name__ for k in names)}, got {type(value).__name__}"
         )
@@ -432,9 +433,8 @@ def run_regime_map(raw: dict, out_dir: Path, threads: int = 1, seed: int | None 
 
     out_dir = Path(out_dir or out_cfg or "regime_map")
     start = time.perf_counter()
-    inv_alpha = 0.0 if alpha in ("inf", "infinity") else (0.0 if math.isinf(float(alpha)) else 1.0 / float(alpha))
     try:
-        rm = emit_region_map(d, inv_alpha, resolution)
+        rm = emit_region_map(d, reciprocal_exponent(alpha), resolution)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     gates = {"coherent_cells": True}  # coherence is checked on construction of every report
@@ -612,8 +612,7 @@ def main(argv=None) -> int:
             return EXIT_SCHEMA
         try:
             svg_path = Path(args.out)
-            inv_alpha = 0.0 if args.alpha in ("inf", "infinity") else 1.0 / float(args.alpha)
-            rm = emit_region_map(args.d, inv_alpha, args.resolution)
+            rm = emit_region_map(args.d, reciprocal_exponent(args.alpha), args.resolution)
             svg_path.parent.mkdir(parents=True, exist_ok=True)
             svg_path.write_text(region_map_svg(rm))
             svg_path.with_suffix(".csv").write_text(region_map_csv(rm))

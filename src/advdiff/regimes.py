@@ -14,8 +14,8 @@ the equation has no meaning otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from xml.sax.saxutils import escape
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "RegionMap",
     "classify",
     "classify_exponents",
+    "reciprocal_exponent",
     "emit_region_map",
     "region_map_csv",
     "region_map_svg",
@@ -81,6 +82,10 @@ class RegimeQuery:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
 
 
+def _joined(ids: tuple[str, ...]) -> str:
+    return "+".join(ids) or "-"
+
+
 @dataclass(frozen=True)
 class RegimeReport:
     """Flags, nonuniqueness tags, open questions and their citations at one query point."""
@@ -104,9 +109,21 @@ class RegimeReport:
         if not chain:
             raise AssertionError("regime report violates the implication chain")
 
-    @property
+    @cached_property
     def flags(self) -> tuple[bool, ...]:
         return tuple(getattr(self, name) for name in FLAG_NAMES)
+
+    @cached_property
+    def label(self) -> str:
+        """Region label ``flag bits|tags|questions``, e.g. ``11110|-|Q6``."""
+        bits = "".join("1" if f else "0" for f in self.flags)
+        return f"{bits}|{_joined(self.known_nonuniqueness)}|{_joined(self.open_questions)}"
+
+    @cached_property
+    def csv_fields(self) -> str:
+        """The flag, nonuniqueness and open-question columns of a region-map CSV row."""
+        flags = ",".join(str(int(f)) for f in self.flags)
+        return f"{flags},{_joined(self.known_nonuniqueness)},{_joined(self.open_questions)}"
 
     def as_dict(self) -> dict:
         return {
@@ -118,7 +135,10 @@ class RegimeReport:
 
 
 def classify(q: RegimeQuery) -> RegimeReport:
-    """Apply every encoded statement to the query point."""
+    """Apply every encoded statement to the query point.
+
+    Points with the same flags, tags and questions share one report object.
+    """
     d = q.d
     sum_pq = q.inv_p + q.inv_q
     product_defined = sum_pq <= 1.0
@@ -149,40 +169,35 @@ def classify(q: RegimeQuery) -> RegimeReport:
         if 0.5 < sum_pq < 1.0:
             questions.append("Q6")
 
-    flags = {
-        "product_defined": product_defined,
-        "distributional_exists": distributional_exists,
-        "parabolic_exists": parabolic_exists,
-        "parabolic_unique": parabolic_unique,
-        "all_distributional_parabolic": all_distributional_parabolic,
-    }
-    cited = ["product_defined"]
-    cited += [name for name in FLAG_NAMES if flags[name] and name != "product_defined"]
-    cited += tags + questions
-    citations = tuple((sid, STATEMENTS[sid]) for sid in cited)
+    flags = (product_defined, distributional_exists, parabolic_exists, parabolic_unique, all_distributional_parabolic)
+    return _report(flags, tuple(tags), tuple(questions))
 
+
+@lru_cache(maxsize=None)  # finite key space: 5 chained flags, 3 tags, 6 questions
+def _report(flags: tuple[bool, ...], tags: tuple[str, ...], questions: tuple[str, ...]) -> RegimeReport:
+    cited = ["product_defined"]
+    cited += [name for name, on in zip(FLAG_NAMES[1:], flags[1:]) if on]
+    cited += tags + questions
     return RegimeReport(
-        known_nonuniqueness=tuple(tags),
-        open_questions=tuple(questions),
-        citations=citations,
-        **flags,
+        *flags,
+        known_nonuniqueness=tags,
+        open_questions=questions,
+        citations=tuple((sid, STATEMENTS[sid]) for sid in cited),
     )
 
 
-def _reciprocal(exponent) -> float:
-    if exponent in ("inf", "infinity", math.inf):
-        return 0.0
-    value = float(exponent)
-    if math.isinf(value):
-        return 0.0
-    if value < 1.0:
+def reciprocal_exponent(exponent) -> float:
+    """1/exponent for an integrability exponent in [1, inf] (a number or "inf"/"infinity")."""
+    value = float("inf") if exponent in ("inf", "infinity") else float(exponent)
+    if not value >= 1.0:  # also rejects NaN
         raise ValueError(f"exponents must be >= 1 or inf, got {value}")
     return 1.0 / value
 
 
 def classify_exponents(d: int, alpha, p, q) -> RegimeReport:
     """classify() with exponents given directly (numbers or "inf")."""
-    return classify(RegimeQuery(d=d, inv_alpha=_reciprocal(alpha), inv_p=_reciprocal(p), inv_q=_reciprocal(q)))
+    inv_alpha, inv_p, inv_q = (reciprocal_exponent(e) for e in (alpha, p, q))
+    return classify(RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=inv_p, inv_q=inv_q))
 
 
 @dataclass(frozen=True)
@@ -201,35 +216,19 @@ class RegionMap:
 def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    rows = []
-    for i in range(resolution):
-        row = []
-        for j in range(resolution):
-            inv_p = (i + 0.5) / resolution
-            inv_q = (j + 0.5) / resolution
-            row.append(classify(RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=inv_p, inv_q=inv_q)))
-        rows.append(tuple(row))
-    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=tuple(rows))
-
-
-def _cell_label(report: RegimeReport) -> str:
-    bits = "".join("1" if f else "0" for f in report.flags)
-    tags = "+".join(report.known_nonuniqueness) or "-"
-    qs = "+".join(report.open_questions) or "-"
-    return f"{bits}|{tags}|{qs}"
+    centers = [(i + 0.5) / resolution for i in range(resolution)]
+    reports = tuple(
+        tuple(classify(RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=inv_p, inv_q=inv_q)) for inv_q in centers)
+        for inv_p in centers
+    )
+    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=reports)
 
 
 def region_map_csv(rm: RegionMap) -> str:
+    centers = [f"{(i + 0.5) / rm.resolution:.17g}" for i in range(rm.resolution)]
     lines = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions"]
-    for i in range(rm.resolution):
-        for j in range(rm.resolution):
-            rep = rm.reports[i][j]
-            inv_p, inv_q = rm.cell_center(i, j)
-            flags = ",".join(str(int(f)) for f in rep.flags)
-            lines.append(
-                f"{inv_p:.17g},{inv_q:.17g},{flags},"
-                f"{'+'.join(rep.known_nonuniqueness) or '-'},{'+'.join(rep.open_questions) or '-'}"
-            )
+    for inv_p, row in zip(centers, rm.reports):
+        lines += [f"{inv_p},{inv_q},{rep.csv_fields}" for inv_q, rep in zip(centers, row)]
     return "\n".join(lines) + "\n"
 
 
@@ -248,22 +247,20 @@ def region_map_svg(rm: RegionMap) -> str:
     labels: dict[str, str] = {}
     used_statements: list[str] = []
 
+    res = rm.resolution
+    xs = [f'<rect x="{x0 + i * cell:.2f}"' for i in range(res)]
+    ys = [f' y="{y0 + (res - 1 - j) * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="' for j in range(res)]
     body = []
-    for i in range(rm.resolution):
-        for j in range(rm.resolution):
-            rep = rm.reports[i][j]
-            label = _cell_label(rep)
-            if label not in labels:
-                labels[label] = _PALETTE[len(labels) % len(_PALETTE)]
+    for x, row in zip(xs, rm.reports):
+        for y, rep in zip(ys, row):
+            label = rep.label
+            color = labels.get(label)
+            if color is None:
+                color = labels[label] = _PALETTE[len(labels) % len(_PALETTE)]
                 for sid, _ in rep.citations:
                     if sid not in used_statements:
                         used_statements.append(sid)
-            x = x0 + i * cell
-            y = y0 + (rm.resolution - 1 - j) * cell
-            body.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" height="{cell:.2f}" '
-                f'fill="{labels[label]}"/>'
-            )
+            body.append(f'{x}{y}{color}"/>')
 
     axes = [
         f'<rect x="{x0}" y="{y0}" width="{plot}" height="{plot}" fill="none" stroke="black"/>',

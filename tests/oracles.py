@@ -4,17 +4,23 @@ The spectral forms here are the full-lattice complex ``np.fft`` versions of
 the package's operators: every field is transformed with ``fftn`` on all N^d
 modes, and the real part of ``ifftn`` is kept.  They share no code with the
 half-spectrum core in ``advdiff.spectral``.
+
+The region-map forms at the end format every cell of a ``RegionMap`` from
+scratch: label, flag string and coordinates, once for the CSV and once for
+the SVG.  They read only the public fields of each report.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 
 from advdiff.grid import ScalarField, TorusGrid
 from advdiff.mollify import Mollifier, kernel_field
+from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
 
 
 def geodesic_distance(x, y) -> float:
@@ -104,3 +110,99 @@ def grad_l2_sq(values: np.ndarray, grid: TorusGrid) -> float:
     ksq = sum(k * k for k in derivative_wavenumbers(grid))
     uh = np.fft.fftn(values)
     return float(np.sum(4.0 * np.pi**2 * ksq * np.abs(uh) ** 2)) / grid.size**2
+
+
+def _flags(report: RegimeReport) -> tuple[bool, ...]:
+    return tuple(getattr(report, name) for name in FLAG_NAMES)
+
+
+def cell_label(report: RegimeReport) -> str:
+    bits = "".join("1" if f else "0" for f in _flags(report))
+    tags = "+".join(report.known_nonuniqueness) or "-"
+    qs = "+".join(report.open_questions) or "-"
+    return f"{bits}|{tags}|{qs}"
+
+
+def region_map_csv(rm: RegionMap) -> str:
+    lines = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions"]
+    for i in range(rm.resolution):
+        for j in range(rm.resolution):
+            rep = rm.reports[i][j]
+            inv_p, inv_q = rm.cell_center(i, j)
+            flags = ",".join(str(int(f)) for f in _flags(rep))
+            lines.append(
+                f"{inv_p:.17g},{inv_q:.17g},{flags},"
+                f"{'+'.join(rep.known_nonuniqueness) or '-'},{'+'.join(rep.open_questions) or '-'}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+_PALETTE = (
+    "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377",
+    "#bbbbbb", "#cc3311", "#009988", "#ee3377", "#0077bb", "#ddaa33",
+    "#555555", "#99ddff", "#44bb99", "#eedd88",
+)
+
+
+def region_map_svg(rm: RegionMap) -> str:
+    """One fill per distinct flag/tag/question combination plus a citation legend."""
+    plot = 480.0
+    x0, y0 = 70.0, 40.0
+    cell = plot / rm.resolution
+    labels: dict[str, str] = {}
+    used_statements: list[str] = []
+
+    body = []
+    for i in range(rm.resolution):
+        for j in range(rm.resolution):
+            rep = rm.reports[i][j]
+            label = cell_label(rep)
+            if label not in labels:
+                labels[label] = _PALETTE[len(labels) % len(_PALETTE)]
+                for sid, _ in rep.citations:
+                    if sid not in used_statements:
+                        used_statements.append(sid)
+            x = x0 + i * cell
+            y = y0 + (rm.resolution - 1 - j) * cell
+            body.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" height="{cell:.2f}" '
+                f'fill="{labels[label]}"/>'
+            )
+
+    axes = [
+        f'<rect x="{x0}" y="{y0}" width="{plot}" height="{plot}" fill="none" stroke="black"/>',
+        f'<text x="{x0 + plot / 2:.1f}" y="{y0 + plot + 32:.1f}" text-anchor="middle">1/p</text>',
+        f'<text x="{x0 - 40:.1f}" y="{y0 + plot / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 {x0 - 40:.1f} {y0 + plot / 2:.1f})">1/q</text>',
+        f'<text x="{x0 + plot / 2:.1f}" y="{y0 - 14:.1f}" text-anchor="middle">'
+        f"d={rm.d}, 1/alpha={rm.inv_alpha:g}</text>",
+    ]
+    for frac in (0.0, 0.5, 1.0):
+        axes.append(f'<text x="{x0 + frac * plot:.1f}" y="{y0 + plot + 16:.1f}" text-anchor="middle">{frac:g}</text>')
+        axes.append(
+            f'<text x="{x0 - 8:.1f}" y="{y0 + (1 - frac) * plot + 4:.1f}" text-anchor="end">{frac:g}</text>'
+        )
+
+    legend = []
+    ly = y0
+    lx = x0 + plot + 30
+    legend.append(f'<text x="{lx}" y="{ly - 14}" font-weight="bold">flags|nonuniqueness|questions</text>')
+    for label, color in labels.items():
+        legend.append(f'<rect x="{lx}" y="{ly:.1f}" width="14" height="14" fill="{color}"/>')
+        legend.append(f'<text x="{lx + 20}" y="{ly + 12:.1f}">{escape(label)}</text>')
+        ly += 20
+    ly += 16
+    legend.append(f'<text x="{lx}" y="{ly:.1f}" font-weight="bold">statements</text>')
+    ly += 20
+    for sid in used_statements:
+        legend.append(f'<text x="{lx}" y="{ly:.1f}" font-size="10">{sid}: {escape(STATEMENTS[sid])}</text>')
+        ly += 16
+
+    height = max(y0 + plot + 60.0, ly + 20.0)
+    width = lx + 620.0
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'font-family="monospace" font-size="12">\n'
+        + "\n".join(body + axes + legend)
+        + "\n</svg>\n"
+    )

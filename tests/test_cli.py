@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from advdiff.cli import (
     EXIT_GATES,
     EXIT_NUMERICAL,
@@ -85,6 +87,12 @@ class TestSimulateCommand:
         cfg["solver"]["step_size"] = 0.1
         cfg_path = write_config(tmp_path, "sim.json", cfg)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "r")]) == EXIT_SCHEMA
+
+    def test_bool_dim_rejected(self, tmp_path, capsys):
+        cfg = simulate_config(grid={"dim": True, "points_per_axis": 32})
+        cfg_path = write_config(tmp_path, "sim.json", cfg)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "r")]) == EXIT_SCHEMA
+        assert "grid.dim: expected int, got bool" in capsys.readouterr().err
 
     def test_wrong_kind_rejected(self, tmp_path):
         cfg = simulate_config(kind="commutator")
@@ -194,6 +202,30 @@ class TestRegimeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["gates"]["coherent_cells"] is True
         assert (out / "map.svg").exists() and (out / "map.csv").exists()
+
+    @pytest.mark.parametrize("alpha", [0, "0", "abc", 0.5, float("nan")], ids=["0", "str0", "abc", "half", "nan"])
+    def test_map_config_rejects_bad_alpha(self, tmp_path, capsys, alpha):
+        cfg = {"kind": "regime-map", "d": 3, "alpha": alpha, "resolution": 16}
+        cfg_path = write_config(tmp_path, "map.json", cfg)
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["0", "abc", "0.5", "nan"])
+    def test_map_flags_rejects_bad_alpha(self, tmp_path, capsys, alpha):
+        svg = tmp_path / "fig.svg"
+        assert main(["regime", "map", "--d", "3", "--alpha", alpha, "--resolution", "16", "--out", str(svg)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("key", ["d", "resolution", "alpha"])
+    def test_map_config_rejects_bool(self, tmp_path, capsys, key):
+        cfg = {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16, key: True}
+        cfg_path = write_config(tmp_path, "map.json", cfg)
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_SCHEMA
+        assert f"config.{key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_map_requires_flags_or_config(self):
         assert main(["regime", "map", "--alpha", "inf"]) == EXIT_SCHEMA

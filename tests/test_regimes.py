@@ -5,6 +5,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+import oracles
 from advdiff.regimes import (
     FLAG_NAMES,
     STATEMENTS,
@@ -200,3 +201,29 @@ class TestRegionMap:
         texts = [el.text for el in root.iter() if el.tag.endswith("text") and el.text]
         assert any("1/p" in t for t in texts)
         assert any("product_defined" in t for t in texts)
+
+
+@pytest.mark.parametrize("resolution", [16, 37, 64])
+@pytest.mark.parametrize("inv_alpha", [0.0, 0.5, 2.0 / 3.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_region_map_outputs_match_per_cell_oracle(d, inv_alpha, resolution):
+    # resolution 37 gives a non-dyadic cell width (.2f rounding); d = 3 crosses DISTR
+    rm = emit_region_map(d, inv_alpha, resolution)
+    assert region_map_csv(rm) == oracles.region_map_csv(rm)
+    assert region_map_svg(rm) == oracles.region_map_svg(rm)
+    for row in rm.reports:
+        for rep in row:
+            assert rep.label == oracles.cell_label(rep)
+
+
+class TestSharedReports:
+    def test_one_report_object_per_region(self):
+        rm = emit_region_map(3, 0.0, 64)
+        reports = [rep for row in rm.reports for rep in row]
+        assert len({id(rep) for rep in reports}) <= len({rep.label for rep in reports})
+
+    def test_same_region_same_object(self):
+        a = classify(RegimeQuery(d=3, inv_alpha=0.0, inv_p=0.1, inv_q=0.2))
+        b = classify(RegimeQuery(d=3, inv_alpha=0.0, inv_p=0.2, inv_q=0.1))
+        assert a.label == b.label
+        assert a is b
