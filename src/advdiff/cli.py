@@ -2,10 +2,10 @@
 
 Subcommands: ``simulate``, ``commutator``, ``regime classify|map``,
 ``fields list|audit``.  Configs are strict JSON documents (unknown keys are
-rejected); every run writes its artifacts plus a manifest recording the
-config hash, tolerances and per-invariant pass/fail into a temp directory
-that is moved into place only on success.  Exit codes: 0 all gates pass,
-1 gate failure, 2 schema violation, 3 numerical abort, 4 I/O failure.
+rejected); every config run goes through ``run_config``, which writes the
+artifacts plus a manifest recording the config hash, tolerances and
+per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
+2 schema violation, 3 numerical abort, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .commutators import (
-    NORM_TYPES,
-    CommutatorStudyConfig,
-    convergence_study,
-)
+from .commutators import CommutatorStudyConfig, convergence_study
 from .fieldio import field_bytes
 from .grid import ScalarField, TorusGrid, wrapped_displacement
 from .library import (
@@ -38,11 +34,11 @@ from .library import (
     estimate_integrability,
     integrability_card,
 )
-from .mollify import PROFILES, dyadic_schedule
+from .mollify import PROFILES, Mollifier, check_resolvable, dyadic_schedule
 from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
 from .solver import LQ_EXPONENTS, SolverAbort, SolverConfig, Trajectory, solve
 
-__all__ = ["main", "SchemaError", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
+__all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
 
 EXIT_OK = 0
 EXIT_GATES = 1
@@ -51,6 +47,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _MISSING = object()
+_NUMBER = (int, float)
 
 
 class SchemaError(ValueError):
@@ -60,20 +57,29 @@ class SchemaError(ValueError):
 # ----------------------------------------------------------------- schema --
 
 
-def _take(block: dict, key: str, kinds, default=_MISSING, context: str = "config"):
-    if key in block:
-        value = block.pop(key)
-    elif default is not _MISSING:
-        return default
-    else:
-        raise SchemaError(f"{context}: missing required key {key!r}")
+def _check(value, kinds, where: str):
+    """``value`` if it is one of ``kinds``: true/false are not numbers, and a float
+    must be finite unless the key also takes text (a regime exponent, e.g. "inf")."""
     names = kinds if isinstance(kinds, tuple) else (kinds,)
     # bool subclasses int, so true/false pass isinstance(value, int)
-    if kinds is not None and (not isinstance(value, kinds) or (isinstance(value, bool) and bool not in names)):
-        raise SchemaError(
-            f"{context}.{key}: expected {'/'.join(k.__name__ for k in names)}, got {type(value).__name__}"
-        )
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in names):
+        raise SchemaError(f"{where}: expected {'/'.join(k.__name__ for k in names)}, got {type(value).__name__}")
+    if isinstance(value, float) and str not in names and not math.isfinite(value):
+        raise SchemaError(f"{where}: must be finite, got {value}")
     return value
+
+
+def _take(block: dict, key: str, kinds, default=_MISSING, context: str = "config"):
+    if key in block:
+        return _check(block.pop(key), kinds, f"{context}.{key}")
+    if default is not _MISSING:
+        return default
+    raise SchemaError(f"{context}: missing required key {key!r}")
+
+
+def _take_list(block: dict, key: str, item_kinds, default=_MISSING, context: str = "config") -> list:
+    items = _take(block, key, list, default, context)
+    return [_check(item, item_kinds, f"{context}.{key}[{i}]") for i, item in enumerate(items)]
 
 
 def _done(block: dict, context: str) -> None:
@@ -84,8 +90,6 @@ def _done(block: dict, context: str) -> None:
 def _load_config(path: Path, expected_kind: str) -> dict:
     try:
         raw = json.loads(path.read_text())
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -101,10 +105,7 @@ def _parse_grid(block, context="grid") -> TorusGrid:
     dim = _take(block, "dim", int, context=context)
     n = _take(block, "points_per_axis", int, context=context)
     _done(block, context)
-    try:
-        return TorusGrid(dim, n)
-    except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+    return TorusGrid(dim, n)
 
 
 def _parse_field(block, context="field") -> FieldSpec | None:
@@ -114,19 +115,24 @@ def _parse_field(block, context="field") -> FieldSpec | None:
     name = _take(block, "name", str, context=context)
     params = _take(block, "params", dict, default={}, context=context)
     _done(block, context)
-    try:
-        return FieldSpec(name, params)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+    for key, value in params.items():
+        _check(value, _NUMBER, f"{context}.params.{key}")
+    return FieldSpec(name, params)
+
+
+def _rng(cfg: dict, seed: int | None) -> np.random.Generator:
+    """The random-datum generator: ``--seed`` if given, else the config's ``seed``."""
+    cfg_seed = _take(cfg, "seed", int, default=0)
+    return np.random.default_rng(cfg_seed if seed is None else seed)
 
 
 def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, context="initial_datum") -> ScalarField:
     block = dict(block)
     kind = _take(block, "kind", str, context=context)
-    amplitude = float(_take(block, "amplitude", (int, float), default=1.0, context=context))
+    amplitude = float(_take(block, "amplitude", _NUMBER, default=1.0, context=context))
     if kind == "sine":
-        mode = _take(block, "mode", list, context=context)
-        phase = float(_take(block, "phase", (int, float), default=0.0, context=context))
+        mode = _take_list(block, "mode", int, context=context)
+        phase = float(_take(block, "phase", _NUMBER, default=0.0, context=context))
         _done(block, context)
         if len(mode) != grid.dim:
             raise SchemaError(f"{context}: mode must have {grid.dim} entries")
@@ -136,15 +142,17 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
             arg = arg + 2.0 * np.pi * float(k) * c
         return ScalarField(grid, amplitude * np.sin(arg + phase))
     if kind == "constant":
-        value = float(_take(block, "value", (int, float), default=1.0, context=context))
+        value = float(_take(block, "value", _NUMBER, default=1.0, context=context))
         _done(block, context)
         return ScalarField.constant(grid, value)
     if kind == "gaussian_bump":
-        center = _take(block, "center", list, default=[0.5] * grid.dim, context=context)
-        width = float(_take(block, "width", (int, float), default=0.1, context=context))
+        center = _take_list(block, "center", _NUMBER, default=[0.5] * grid.dim, context=context)
+        width = float(_take(block, "width", _NUMBER, default=0.1, context=context))
         _done(block, context)
         if len(center) != grid.dim:
             raise SchemaError(f"{context}: center must have {grid.dim} entries")
+        if not width > 0.0:
+            raise SchemaError(f"{context}.width: must be positive, got {width}")
         disp = wrapped_displacement(grid.coordinate_mesh(), [float(c) for c in center])
         r_sq = np.zeros(grid.shape)
         for w in disp:
@@ -153,6 +161,9 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
     if kind == "random_bandlimited":
         max_mode = _take(block, "max_mode", int, default=4, context=context)
         _done(block, context)
+        nyquist = grid.points_per_axis // 2
+        if not 0 <= max_mode < nyquist:
+            raise SchemaError(f"{context}.max_mode: must lie in [0, {nyquist}) at N={grid.points_per_axis}, got {max_mode}")
         coeffs = np.zeros(grid.shape, dtype=np.complex128)
         modes = range(-max_mode, max_mode + 1)
         for k in itertools.product(modes, repeat=grid.dim):
@@ -165,10 +176,10 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
     raise SchemaError(f"{context}: unknown initial datum kind {kind!r}")
 
 
-def _parse_solver(block, context="solver") -> SolverConfig:
+def _parse_solver(block, grid: TorusGrid, context="solver") -> SolverConfig:
     block = dict(block)
     kwargs = {
-        "t_final": float(_take(block, "t_final", (int, float), context=context)),
+        "t_final": float(_take(block, "t_final", _NUMBER, context=context)),
         "rk_order": _take(block, "rk_order", int, default=4, context=context),
         "diffusion": _take(block, "diffusion", str, default="integrating_factor", context=context),
         "mollifier_profile": _take(block, "mollifier_profile", str, default="gaussian_periodized", context=context),
@@ -176,26 +187,23 @@ def _parse_solver(block, context="solver") -> SolverConfig:
         "dealias": _take(block, "dealias", bool, default=True, context=context),
         "record_every": _take(block, "record_every", int, default=1, context=context),
     }
-    dt = _take(block, "dt", (int, float), default=None, context=context)
-    cfl = _take(block, "cfl_safety", (int, float), default=None, context=context)
-    for name in ("mollify_b", "mollify_u0"):
-        v = _take(block, name, (int, float), default=None, context=context)
+    for name in ("dt", "cfl_safety", "mollify_b", "mollify_u0"):
+        v = _take(block, name, _NUMBER, default=None, context=context)
         kwargs[name] = float(v) if v is not None else None
     _done(block, context)
-    try:
-        return SolverConfig(dt=float(dt) if dt is not None else None, cfl_safety=float(cfl) if cfl is not None else None, **kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+    config = SolverConfig(**kwargs)
+    for delta in (config.mollify_b, config.mollify_u0):
+        if delta is not None:
+            check_resolvable(Mollifier(config.mollifier_profile, delta), grid)
+    return config
 
 
 def _parse_tolerances(block, context="tolerances") -> dict[str, float]:
     defaults = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, "mean_drift": 1e-12}
-    if block is None:
-        return defaults
-    block = dict(block)
+    block = dict(block or {})
     out = {}
     for name, dv in defaults.items():
-        out[name] = float(_take(block, name, (int, float), default=dv, context=context))
+        out[name] = float(_take(block, name, _NUMBER, default=dv, context=context))
     _done(block, context)
     return out
 
@@ -211,21 +219,39 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_atomically(out_dir: Path, files: dict[str, str | bytes]) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out_dir.parent))
+def _check_target(out_dir: Path) -> None:
+    """Refuse an output path that is not absent, an empty directory or a previous run."""
+    if out_dir.exists() and not (out_dir.is_dir() and ((out_dir / "manifest.json").is_file() or not any(out_dir.iterdir()))):
+        raise FileExistsError(f"{out_dir}: refusing to replace what is neither an empty directory nor a previous run")
+
+
+def _publish(out_dir: Path, files: dict[str, str | bytes]) -> None:
+    """Write ``files`` into a staged sibling of ``out_dir`` and rename it into place.
+
+    A previous run is moved into the stage first and deleted with it; if any
+    step fails, ``out_dir`` is left as it was.
+    """
+    _check_target(out_dir)  # again: the directory may have changed during the compute
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out_dir.parent))
     try:
+        new, old = stage / "run", stage / "previous"
+        new.mkdir()
         for name, payload in files.items():
-            target = tmp / name
             if isinstance(payload, bytes):
-                target.write_bytes(payload)
+                (new / name).write_bytes(payload)
             else:
-                target.write_text(payload)
-        for name in files:
-            (tmp / name).replace(out_dir / name)
+                (new / name).write_text(payload)
+        if out_dir.exists():
+            out_dir.rename(old)
+        try:
+            new.rename(out_dir)
+        except OSError:
+            if old.exists():
+                old.rename(out_dir)
+            raise
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _manifest(
@@ -235,7 +261,7 @@ def _manifest(
     gates: dict[str, bool],
     wall: float,
     outputs,
-    metrics: dict | None = None,
+    metrics: dict,
 ) -> str:
     gates = {name: bool(ok) for name, ok in gates.items()}
     doc = {
@@ -251,7 +277,7 @@ def _manifest(
         "tolerances": tolerances,
         "gates": gates,
         "all_gates_pass": all(gates.values()),
-        "metrics": metrics or {},
+        "metrics": metrics,
         "wall_time_s": wall,
         "outputs": sorted(outputs),
     }
@@ -259,6 +285,9 @@ def _manifest(
 
 
 # ---------------------------------------------------------------- runners --
+# ``run_<kind>(cfg, seed, threads)`` pops its keys from ``cfg`` and returns
+# (grid, tolerances, compute); ``compute()`` runs the work and the gates and
+# returns (gates, metrics, render); ``render()`` returns {file name: payload}.
 
 _DIAG_COLUMNS = ("t", "l1", "l2", "l4", "linf", "grad_l2_sq_cum", "energy_lhs", "mean", "beta_arctan")
 
@@ -302,187 +331,179 @@ def _simulate_gates(traj: Trajectory, tol: dict[str, float]) -> dict[str, bool]:
     return gates
 
 
-def _heat_kernel_error(raw: dict, field, grid: TorusGrid, u0: ScalarField, traj: Trajectory) -> float | None:
+def _heat_kernel_error(datum: dict, field, u0: ScalarField, traj: Trajectory) -> float | None:
     """Pointwise error against the exact heat kernel, for pure-diffusion
     single-mode runs where the integrating factor is exact."""
-    datum = raw.get("initial_datum", {})
     if field is not None or datum.get("kind") != "sine":
         return None
-    mode = datum.get("mode", [])
-    k_sq = float(sum(float(k) ** 2 for k in mode))
+    k_sq = float(sum(float(k) ** 2 for k in datum["mode"]))
     decay = math.exp(-4.0 * math.pi**2 * k_sq * traj.t_final)
     exact = decay * u0.values
     return float(np.max(np.abs(traj.final_state.values - exact)))
 
 
-def run_simulate(raw: dict, out_dir: Path, threads: int = 1, seed: int | None = None) -> tuple[dict[str, bool], Path]:
-    cfg = dict(raw)
-    _take(cfg, "kind", str)
-    cfg_seed = _take(cfg, "seed", int, default=0)
-    seed_value = seed if seed is not None else cfg_seed
-    out_cfg = _take(cfg, "output_dir", str, default=None)
+def run_simulate(cfg: dict, seed: int | None, threads: int):
+    """``simulate``: solve from the initial datum and gate the a-priori bounds."""
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None))
-    rng = np.random.default_rng(seed_value)
-    u0 = _parse_scalar_datum(_take(cfg, "initial_datum", dict), grid, rng)
-    solver_cfg = _parse_solver(_take(cfg, "solver", dict))
+    datum = _take(cfg, "initial_datum", dict)
+    u0 = _parse_scalar_datum(datum, grid, _rng(cfg, seed))
+    solver_cfg = _parse_solver(_take(cfg, "solver", dict), grid)
     outputs_block = dict(_take(cfg, "outputs", dict, default={}))
     write_diag = _take(outputs_block, "diagnostics_csv", bool, default=True, context="outputs")
     write_snaps = _take(outputs_block, "snapshots", bool, default=False, context="outputs")
     _done(outputs_block, "outputs")
     tol = _parse_tolerances(_take(cfg, "tolerances", (dict, type(None)), default=None))
-    _done(cfg, "config")
 
-    out_dir = Path(out_dir or out_cfg or "run")
-    start = time.perf_counter()
-    traj = solve(field, u0, solver_cfg)
-    gates = _simulate_gates(traj, tol)
-    heat_error = _heat_kernel_error(raw, field, grid, u0, traj)
-    if heat_error is not None:
-        gates["heat_kernel_exact"] = heat_error <= 1e-10
-    wall = time.perf_counter() - start
+    def compute():
+        traj = solve(field, u0, solver_cfg)
+        gates = _simulate_gates(traj, tol)
+        metrics = {}
+        heat_error = _heat_kernel_error(datum, field, u0, traj)
+        if heat_error is not None:
+            gates["heat_kernel_exact"] = heat_error <= 1e-10
+            metrics["heat_kernel_error"] = heat_error
 
-    files: dict[str, str | bytes] = {}
-    if write_diag:
-        files["diagnostics.csv"] = _diagnostics_csv(traj)
-    if write_snaps:
-        for t, state in zip(traj.times, traj.states):
-            step = int(round(t / traj.dt))
-            files[f"snapshot_{step:06d}.torf"] = field_bytes(state)
-    metrics = {} if heat_error is None else {"heat_kernel_error": heat_error}
-    files["manifest.json"] = _manifest(raw, grid, tol, gates, wall, files.keys() | {"manifest.json"}, metrics)
-    _write_atomically(out_dir, files)
-    return gates, out_dir
+        def render():
+            files: dict[str, str | bytes] = {}
+            if write_diag:
+                files["diagnostics.csv"] = _diagnostics_csv(traj)
+            if write_snaps:
+                for t, state in zip(traj.times, traj.states):
+                    step = int(round(t / traj.dt))
+                    files[f"snapshot_{step:06d}.torf"] = field_bytes(state)
+            return files
+
+        return gates, metrics, render
+
+    return grid, tol, compute
 
 
-def run_commutator(raw: dict, out_dir: Path, threads: int = 1, seed: int | None = None) -> tuple[dict[str, bool], Path]:
-    cfg = dict(raw)
-    _take(cfg, "kind", str)
-    cfg_seed = _take(cfg, "seed", int, default=0)
-    seed_value = seed if seed is not None else cfg_seed
-    out_cfg = _take(cfg, "output_dir", str, default=None)
+def run_commutator(cfg: dict, seed: int | None, threads: int):
+    """``commutator``: the kernel-scale decay study of the commutator norm."""
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", dict))
-    rng = np.random.default_rng(seed_value)
-    w = _parse_scalar_datum(_take(cfg, "w", dict), grid, rng, context="w")
+    w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg, seed), context="w")
     study = dict(_take(cfg, "study", dict))
-    delta0 = float(_take(study, "delta0", (int, float), context="study"))
+    delta0 = float(_take(study, "delta0", _NUMBER, context="study"))
     levels = _take(study, "levels", int, context="study")
     profile = _take(study, "profile", str, default="gaussian_periodized", context="study")
     norm = _take(study, "norm", str, default="L1_spacetime", context="study")
-    t_final = float(_take(study, "t_final", (int, float), default=1.0, context="study"))
+    t_final = float(_take(study, "t_final", _NUMBER, default=1.0, context="study"))
     time_samples = _take(study, "time_samples", int, default=1, context="study")
     _done(study, "study")
     expect_block = dict(_take(cfg, "expect", dict, default={}))
     expect_decay = _take(expect_block, "decay", (bool, type(None)), default=None, context="expect")
     _done(expect_block, "expect")
-    _done(cfg, "config")
     if profile not in PROFILES:
         raise SchemaError(f"study.profile must be one of {PROFILES}")
-    if norm not in NORM_TYPES:
-        raise SchemaError(f"study.norm must be one of {NORM_TYPES}")
+    study_cfg = CommutatorStudyConfig(
+        b_source=field, w_source=w, delta_schedule=dyadic_schedule(delta0, levels), mollifier_profile=profile,
+        norm=norm, t_final=t_final, time_samples=time_samples,
+    )
 
-    out_dir = Path(out_dir or out_cfg or "commutator_run")
-    start = time.perf_counter()
-    try:
-        study_cfg = CommutatorStudyConfig(
-            b_source=field,
-            w_source=w,
-            delta_schedule=dyadic_schedule(delta0, levels),
-            mollifier_profile=profile,
-            norm=norm,
-            t_final=t_final,
-            time_samples=time_samples,
-        )
+    def compute():
         result = convergence_study(study_cfg, threads=threads)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    wall = time.perf_counter() - start
+        decay = result.verdict in ("decay", "exact")
+        gates = {"study_completed": True}
+        if expect_decay is not None:
+            gates["decay_as_expected"] = decay == expect_decay
 
-    lines = ["delta,norm,ratio"]
-    for i, (d, n) in enumerate(zip(result.deltas, result.norms)):
-        ratio = "" if i == 0 else _fmt(result.ratios[i - 1])
-        lines.append(f"{_fmt(d)},{_fmt(n)},{ratio}")
-    verdict = {
-        "decay": result.verdict in ("decay", "exact"),
-        "verdict": result.verdict,
-        "fitted_rate": result.fitted_rate,
-        "norm_type": result.norm_type,
-    }
-    gates = {"study_completed": True}
-    if expect_decay is not None:
-        gates["decay_as_expected"] = verdict["decay"] == expect_decay
+        def render():
+            lines = ["delta,norm,ratio"]
+            for i, (d, n) in enumerate(zip(result.deltas, result.norms)):
+                ratio = "" if i == 0 else _fmt(result.ratios[i - 1])
+                lines.append(f"{_fmt(d)},{_fmt(n)},{ratio}")
+            verdict = {
+                "decay": decay,
+                "verdict": result.verdict,
+                "fitted_rate": result.fitted_rate,
+                "norm_type": result.norm_type,
+            }
+            return {
+                "decay.csv": "\n".join(lines) + "\n",
+                "verdict.json": json.dumps(verdict, sort_keys=True, indent=2) + "\n",
+            }
 
-    files = {
-        "decay.csv": "\n".join(lines) + "\n",
-        "verdict.json": json.dumps(verdict, sort_keys=True, indent=2) + "\n",
-    }
-    files["manifest.json"] = _manifest(raw, grid, {}, gates, wall, files.keys() | {"manifest.json"})
-    _write_atomically(out_dir, files)
-    return gates, out_dir
+        return gates, {}, render
+
+    return grid, {}, compute
 
 
-def run_regime_map(raw: dict, out_dir: Path, threads: int = 1, seed: int | None = None) -> tuple[dict[str, bool], Path]:
-    cfg = dict(raw)
-    _take(cfg, "kind", str)
-    out_cfg = _take(cfg, "output_dir", str, default=None)
+def run_regime_map(cfg: dict, seed: int | None, threads: int):
+    """``regime map``: rasterize the (1/p, 1/q) region map at one (d, alpha)."""
     d = _take(cfg, "d", int)
-    alpha = _take(cfg, "alpha", (int, float, str), default="inf")
+    inv_alpha = reciprocal_exponent(_take(cfg, "alpha", (int, float, str), default="inf"))
     resolution = _take(cfg, "resolution", int, default=64)
-    _done(cfg, "config")
 
-    out_dir = Path(out_dir or out_cfg or "regime_map")
-    start = time.perf_counter()
-    try:
-        rm = emit_region_map(d, reciprocal_exponent(alpha), resolution)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    gates = {"coherent_cells": True}  # coherence is checked on construction of every report
-    wall = time.perf_counter() - start
-    files = {
-        "map.csv": region_map_csv(rm),
-        "map.svg": region_map_svg(rm),
-    }
-    files["manifest.json"] = _manifest(raw, None, {}, gates, wall, files.keys() | {"manifest.json"})
-    _write_atomically(out_dir, files)
-    return gates, out_dir
+    def compute():
+        rm = emit_region_map(d, inv_alpha, resolution)
+        gates = {"coherent_cells": True}  # coherence is checked on construction of every report
+        return gates, {}, lambda: {"map.csv": region_map_csv(rm), "map.svg": region_map_svg(rm)}
+
+    return None, {}, compute
 
 
-def run_field_audit(raw: dict, out_dir: Path, threads: int = 1, seed: int | None = None) -> tuple[dict[str, bool], Path]:
-    cfg = dict(raw)
-    _take(cfg, "kind", str)
-    out_cfg = _take(cfg, "output_dir", str, default=None)
+def run_field_audit(cfg: dict, seed: int | None, threads: int):
+    """``fields audit``: gate quadrature trends of the integral of |b|^p against the card."""
     field = _parse_field(_take(cfg, "field", dict))
     dim = _take(cfg, "dim", int, default=2)
-    p_values = _take(cfg, "p_values", list)
-    resolutions = _take(cfg, "resolutions", list)
-    _done(cfg, "config")
-    if field is None:
-        raise SchemaError("field-audit requires a field block")
+    p_values = [float(p) for p in _take_list(cfg, "p_values", _NUMBER)]
+    resolutions = _take_list(cfg, "resolutions", int)
 
-    out_dir = Path(out_dir or out_cfg or "field_audit")
-    start = time.perf_counter()
-    card = integrability_card(field)
-    rows = ["p,slope,verdict,consistent_with_card"]
-    gates = {}
-    for p in p_values:
-        p = float(p)
-        try:
+    def compute():
+        card = integrability_card(field)
+        rows = ["p,slope,verdict,consistent_with_card"]
+        gates = {}
+        for p in p_values:
             report = estimate_integrability(field, p, resolutions, dim=dim)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        if math.isinf(card.p_finite_below):
-            consistent = report.verdict != "diverging"
-        elif p < card.p_finite_below:
-            consistent = report.verdict != "diverging"
-        else:
-            consistent = report.verdict != "converging"
-        gates[f"card_consistent_p{p:g}"] = consistent
-        rows.append(f"{_fmt(p)},{_fmt(report.slope)},{report.verdict},{int(consistent)}")
+            if p < card.p_finite_below:  # p is finite, so this holds for every p when the card says inf
+                consistent = report.verdict != "diverging"
+            else:
+                consistent = report.verdict != "converging"
+            gates[f"card_consistent_p{p:g}"] = consistent
+            rows.append(f"{_fmt(p)},{_fmt(report.slope)},{report.verdict},{int(consistent)}")
+        return gates, {}, lambda: {"trends.csv": "\n".join(rows) + "\n"}
+
+    return None, {}, compute
+
+
+# Config-run commands: (config kind, default output directory, runner).
+# ``run_config`` looks the runner up by its module-global name at call time.
+_RUNS = {
+    "simulate": ("simulate", "run", "run_simulate"),
+    "commutator": ("commutator", "commutator_run", "run_commutator"),
+    "regime map": ("regime-map", "regime_map", "run_regime_map"),
+    "fields audit": ("field-audit", "field_audit", "run_field_audit"),
+}
+
+
+def run_config(
+    command: str, config: str | Path, out: str | Path | None = None, threads: int = 1, seed: int | None = None
+) -> tuple[dict[str, bool], Path]:
+    """Run one config command (a key of ``_RUNS``): parse, compute and gate, publish.
+
+    Returns the gates and the output directory.  A bad config raises a
+    ``ValueError``, a numerical abort ``SolverAbort`` and an I/O failure
+    ``OSError``; nothing is published then.
+    """
+    kind, default_out, runner = _RUNS[command]
+    raw = _load_config(Path(config), kind)
+    cfg = dict(raw)
+    cfg.pop("kind")
+    out_cfg = _take(cfg, "output_dir", str, default=None)
+    out_dir = Path(out or out_cfg or default_out)
+    grid, tolerances, compute = globals()[runner](cfg, seed, threads)
+    _done(cfg, "config")
+    _check_target(out_dir)
+
+    start = time.perf_counter()
+    gates, metrics, render = compute()
     wall = time.perf_counter() - start
-    files = {"trends.csv": "\n".join(rows) + "\n"}
-    files["manifest.json"] = _manifest(raw, None, {}, gates, wall, files.keys() | {"manifest.json"})
-    _write_atomically(out_dir, files)
+
+    files = render()
+    files["manifest.json"] = _manifest(raw, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
+    _publish(out_dir, files)
     return gates, out_dir
 
 
@@ -505,41 +526,21 @@ def _fields_list_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_config_run(runner, args) -> int:
-    path = Path(args.config)
-    kind = {"simulate": "simulate", "commutator": "commutator", "audit": "field-audit"}[args._kind]
-    try:
-        raw = _load_config(path, kind)
-        gates, out_dir = runner(raw, Path(args.out) if args.out else None, threads=args.threads, seed=args.seed)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except SolverAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    failed = sorted(name for name, ok in gates.items() if not ok)
-    print(f"run complete: {out_dir} ({len(gates)} gates, {'all pass' if not failed else 'FAILED: ' + ', '.join(failed)})")
-    return EXIT_OK if not failed else EXIT_GATES
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advdiff", description="advection-diffusion laboratory on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (overrides config output_dir)")
+    def add_run(subparsers, name, run, help, config_required=True, out_help="output directory (overrides config output_dir)"):
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", required=config_required, default=None, help="JSON experiment config")
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run the advection-diffusion solver")
-    add_run_flags(p_sim)
-
-    p_com = sub.add_parser("commutator", help="run a commutator decay study")
-    add_run_flags(p_com)
+    add_run(sub, "simulate", "simulate", "run the advection-diffusion solver")
+    add_run(sub, "commutator", "commutator", "run a commutator decay study")
 
     p_reg = sub.add_parser("regime", help="well-posedness regime oracle")
     reg_sub = p_reg.add_subparsers(dest="regime_command", required=True)
@@ -549,83 +550,67 @@ def main(argv=None) -> int:
     p_cls.add_argument("--p", default="inf")
     p_cls.add_argument("--q", default="inf")
     p_cls.add_argument("--out", default=None, help="also write the JSON report here")
-    p_map = reg_sub.add_parser("map", help="rasterize a (1/p, 1/q) region map")
-    p_map.add_argument("--config", default=None, help="regime-map config (alternative to the flags)")
+    map_out = "SVG output path (flags mode) or output directory (config mode)"
+    p_map = add_run(reg_sub, "map", "regime map", "rasterize a (1/p, 1/q) region map", config_required=False, out_help=map_out)
     p_map.add_argument("--d", type=int, default=None)
     p_map.add_argument("--alpha", default="inf")
     p_map.add_argument("--resolution", type=int, default=64)
-    p_map.add_argument("--out", default=None, help="SVG output path (flags mode) or output directory (config mode)")
-    p_map.add_argument("--threads", type=int, default=1)
-    p_map.add_argument("--seed", type=int, default=None)
 
     p_fields = sub.add_parser("fields", help="velocity-field catalog")
     f_sub = p_fields.add_subparsers(dest="fields_command", required=True)
     f_sub.add_parser("list", help="print the catalog with integrability cards")
-    p_audit = f_sub.add_parser("audit", help="audit integrability cards by quadrature trends")
-    add_run_flags(p_audit)
+    add_run(f_sub, "audit", "fields audit", "audit integrability cards by quadrature trends")
+    return parser
 
-    args = parser.parse_args(argv)
 
-    if args.command == "simulate":
-        args._kind = "simulate"
-        return _cmd_config_run(run_simulate, args)
-    if args.command == "commutator":
-        args._kind = "commutator"
-        return _cmd_config_run(run_commutator, args)
-    if args.command == "fields":
-        if args.fields_command == "list":
-            sys.stdout.write(_fields_list_text())
-            return EXIT_OK
-        args._kind = "audit"
-        return _cmd_config_run(run_field_audit, args)
-    if args.command == "regime":
-        if args.regime_command == "classify":
-            try:
-                report = classify_exponents(args.d, args.alpha, args.p, args.q)
-            except ValueError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_SCHEMA
-            payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-            sys.stdout.write(payload)
-            if args.out:
-                try:
-                    Path(args.out).write_text(payload)
-                except OSError as exc:
-                    print(f"i/o failure: {exc}", file=sys.stderr)
-                    return EXIT_IO
-            return EXIT_OK
-        # regime map: config-driven run (manifest + atomic outputs) or direct flags
-        if args.config is not None:
-            try:
-                raw = _load_config(Path(args.config), "regime-map")
-                gates, out_dir = run_regime_map(raw, Path(args.out) if args.out else None)
-            except SchemaError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_SCHEMA
-            except OSError as exc:
-                print(f"i/o failure: {exc}", file=sys.stderr)
-                return EXIT_IO
-            print(f"run complete: {out_dir}")
-            return EXIT_OK if all(gates.values()) else EXIT_GATES
-        if args.d is None or args.out is None:
-            print("config error: regime map needs either --config or both --d and --out", file=sys.stderr)
-            return EXIT_SCHEMA
-        try:
-            svg_path = Path(args.out)
-            rm = emit_region_map(args.d, reciprocal_exponent(args.alpha), args.resolution)
-            svg_path.parent.mkdir(parents=True, exist_ok=True)
-            svg_path.write_text(region_map_svg(rm))
-            svg_path.with_suffix(".csv").write_text(region_map_csv(rm))
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        except OSError as exc:
-            print(f"i/o failure: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {svg_path} and {svg_path.with_suffix('.csv')}")
+def _regime_map_flags(args) -> int:
+    """``regime map --d … --out fig.svg``: the SVG at ``--out``, the CSV next to it, no manifest."""
+    if args.d is None or args.out is None:
+        raise SchemaError("regime map needs either --config or both --d and --out")
+    flags = {"d": args.d, "alpha": args.alpha, "resolution": args.resolution}
+    _, _, compute = run_regime_map(flags, args.seed, args.threads)
+    _, _, render = compute()
+    files = render()
+    svg_path = Path(args.out)
+    svg_path.parent.mkdir(parents=True, exist_ok=True)
+    svg_path.write_text(files["map.svg"])
+    svg_path.with_suffix(".csv").write_text(files["map.csv"])
+    print(f"wrote {svg_path} and {svg_path.with_suffix('.csv')}")
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _command(args)
+    except ValueError as exc:  # SchemaError, and any library ValueError a bad config reaches
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except SolverAbort as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+def _command(args) -> int:
+    if args.command == "fields" and args.fields_command == "list":
+        sys.stdout.write(_fields_list_text())
         return EXIT_OK
-    parser.error(f"unknown command {args.command}")
-    return EXIT_SCHEMA
+    if args.command == "regime" and args.regime_command == "classify":
+        report = classify_exponents(args.d, args.alpha, args.p, args.q)
+        payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+        sys.stdout.write(payload)
+        if args.out:
+            Path(args.out).write_text(payload)
+        return EXIT_OK
+    if args.run == "regime map" and args.config is None:
+        return _regime_map_flags(args)
+    gates, out_dir = run_config(args.run, Path(args.config), args.out, args.threads, args.seed)
+    failed = sorted(name for name, ok in gates.items() if not ok)
+    print(f"run complete: {out_dir} ({len(gates)} gates, {'all pass' if not failed else 'FAILED: ' + ', '.join(failed)})")
+    return EXIT_GATES if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ __all__ = [
     "MIN_DELTA_FACTOR",
     "Mollifier",
     "UnderResolvedKernelError",
+    "check_resolvable",
     "kernel_field",
     "mollify",
     "dyadic_schedule",
@@ -55,7 +56,8 @@ class Mollifier:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
 
-def _check_resolvable(m: Mollifier, grid: TorusGrid) -> None:
+def check_resolvable(m: Mollifier, grid: TorusGrid) -> None:
+    """Raise ``UnderResolvedKernelError`` if ``m`` is narrower than the grid can resolve."""
     if m.delta < MIN_DELTA_FACTOR * grid.spacing:
         raise UnderResolvedKernelError(
             f"kernel scale delta={m.delta} under-resolved on spacing {grid.spacing}"
@@ -94,7 +96,7 @@ def _sample_kernel(m: Mollifier, grid: TorusGrid) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _kernel_values(m: Mollifier, grid: TorusGrid) -> np.ndarray:
-    _check_resolvable(m, grid)
+    check_resolvable(m, grid)
     vals = _sample_kernel(m, grid)
     mass = float(np.sum(vals)) * grid.cell_volume
     if mass <= 0.0:

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import pathlib
+import tempfile
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from advdiff.cli import (
     EXIT_GATES,
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -230,6 +238,12 @@ class TestRegimeCommand:
     def test_map_requires_flags_or_config(self):
         assert main(["regime", "map", "--alpha", "inf"]) == EXIT_SCHEMA
 
+    def test_map_config_mode_prints_run_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 2, "resolution": 16})
+        out = tmp_path / "map_run"
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"run complete: {out} (1 gates, all pass)\n"
+
 
 class TestFieldsCommand:
     def test_list_table(self, capsys):
@@ -257,3 +271,216 @@ class TestFieldsCommand:
         verdicts = {row.split(",")[0]: row.split(",")[2] for row in rows[1:]}
         assert verdicts["3"] == "converging"
         assert verdicts["5"] == "diverging"
+
+
+def small_simulate_config(datum=None, solver=None):
+    return simulate_config(
+        grid={"dim": 2, "points_per_axis": 16},
+        initial_datum=datum or {"kind": "sine", "mode": [0, 1]},
+        solver=solver or {"t_final": 0.002, "dt": 0.001},
+        outputs={"diagnostics_csv": True, "snapshots": False},
+    )
+
+
+def audit_config(**overrides):
+    cfg = {
+        "kind": "field-audit",
+        "field": {"name": "power_singularity", "params": {"exponent": 1.5}},
+        "dim": 2,
+        "p_values": [3.0],
+        "resolutions": [16, 32, 64],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+NAN = float("nan")
+
+# (command, config, expected stderr fragment): each one used to run silently
+# or to end in a traceback with exit 1.
+BAD_CONFIGS = {
+    "mode_bool": (["simulate"], small_simulate_config({"kind": "sine", "mode": [True, 0]}), "initial_datum.mode[0]: expected int, got bool"),
+    "mode_str": (["simulate"], small_simulate_config({"kind": "sine", "mode": ["abc", 0]}), "initial_datum.mode[0]: expected int, got str"),
+    "center_bool": (
+        ["simulate"],
+        small_simulate_config({"kind": "gaussian_bump", "center": [True, 0.5]}),
+        "initial_datum.center[0]: expected int/float, got bool",
+    ),
+    "p_values_str": (["fields", "audit"], audit_config(p_values=["abc"]), "config.p_values[0]: expected int/float, got str"),
+    "resolutions_bool": (
+        ["fields", "audit"],
+        audit_config(resolutions=[True, 64, 128, 256]),
+        "config.resolutions[0]: expected int, got bool",
+    ),
+    "amplitude_nan": (["simulate"], small_simulate_config({"kind": "sine", "mode": [0, 1], "amplitude": NAN}), "must be finite"),
+    "width_nan": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": NAN}), "initial_datum.width: must be finite"),
+    "width_zero": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": 0}), "initial_datum.width: must be positive"),
+    "max_mode_16": (
+        ["simulate"],
+        small_simulate_config({"kind": "random_bandlimited", "max_mode": 16}),
+        "initial_datum.max_mode: must lie in [0, 8)",
+    ),
+    "max_mode_negative": (
+        ["simulate"],
+        small_simulate_config({"kind": "random_bandlimited", "max_mode": -1}),
+        "initial_datum.max_mode: must lie in [0, 8)",
+    ),
+    "mollify_b_unresolved": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "mollify_b": 0.01}),
+        "under-resolved",
+    ),
+    "field_param_nan": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "taylor_green", "params": {"amplitude": NAN}}),
+        "field.params.amplitude: must be finite",
+    ),
+}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_schema(self, tmp_path, capsys, case):
+        command, cfg, fragment = BAD_CONFIGS[case]
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([*command, "--config", cfg_path, "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert fragment in err
+        assert not out.exists()
+
+    def test_regime_alpha_still_accepts_infinity(self, tmp_path):
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 3, "alpha": float("inf"), "resolution": 16})
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_OK
+
+
+class TestPublish:
+    def run(self, tmp_path, out, **overrides):
+        cfg = small_simulate_config()
+        cfg["outputs"]["snapshots"] = True
+        cfg.update(overrides)
+        cfg_path = write_config(tmp_path, "sim.json", cfg)
+        return main(["simulate", "--config", cfg_path, "--out", str(out)])
+
+    def test_rerun_replaces_previous_run_whole(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out) == EXIT_OK
+        (out / "snapshot_999999.torf").write_bytes(b"stale")
+        assert self.run(tmp_path, out) == EXIT_OK
+        assert not (out / "snapshot_999999.torf").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == manifest["outputs"]
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+    def test_empty_directory_is_filled(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert self.run(tmp_path, out) == EXIT_OK
+        assert (out / "manifest.json").is_file()
+
+    def test_failure_mid_write_leaves_target_unchanged(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text = pathlib.Path.write_text
+
+        def failing_write_text(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", failing_write_text)
+        assert self.run(tmp_path, out, seed=8) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o failure: disk full")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+    @pytest.mark.parametrize("target", ["foreign_directory", "file"])
+    def test_foreign_target_refused_before_compute(self, tmp_path, monkeypatch, capsys, target):
+        out = tmp_path / "out"
+        if target == "file":
+            out.write_text("notes")
+        else:
+            out.mkdir()
+            (out / "notes.txt").write_text("notes")
+        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("computed before refusing the target"))
+        assert self.run(tmp_path, out) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure:") and "Traceback" not in err
+        if target == "file":
+            assert out.read_text() == "notes"
+        else:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+
+# Small valid configs; the fuzz below replaces or deletes a few of their values.
+FUZZ_BASES = {
+    "simulate": (
+        ["simulate"],
+        {
+            "kind": "simulate",
+            "seed": 1,
+            "grid": {"dim": 2, "points_per_axis": 8},
+            "field": {"name": "taylor_green", "params": {"amplitude": 1.0}},
+            "initial_datum": {"kind": "gaussian_bump", "center": [0.5, 0.5], "width": 0.2, "amplitude": 1.0},
+            "solver": {"t_final": 0.004, "dt": 0.001, "record_every": 2, "mollify_u0": 0.5},
+            "outputs": {"diagnostics_csv": True, "snapshots": True},
+            "tolerances": {"e1_slack": 1e-8},
+        },
+    ),
+    "commutator": (
+        ["commutator"],
+        {
+            "kind": "commutator",
+            "seed": 1,
+            "grid": {"dim": 2, "points_per_axis": 16},
+            "field": {"name": "power_singularity", "params": {"exponent": 1.25}},
+            "w": {"kind": "random_bandlimited", "max_mode": 2, "amplitude": 1.0},
+            "study": {"delta0": 0.5, "levels": 2, "norm": "L2_Hminus1", "t_final": 0.01, "time_samples": 1},
+            "expect": {"decay": True},
+        },
+    ),
+    "regime map": (["regime", "map"], {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16}),
+}
+FUZZ_VALUES = [0, 1, -1, 2, 0.5, 1e-3, NAN, float("inf"), True, None, "abc", [], [1, 0], [True, 0.5], {}]
+DELETE = object()
+
+
+def config_paths(node, prefix=()):
+    """The path (tuple of keys and indices) of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from config_paths(value, prefix + (key,))
+
+
+def apply_edit(cfg, path, value):
+    node = cfg
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier edit removed or replaced this path
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_fuzzed_configs_exit_with_a_documented_code(data):
+    command, base = FUZZ_BASES[data.draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    cfg = copy.deepcopy(base)
+    paths = list(config_paths(base))
+    for path, value in data.draw(st.lists(st.tuples(st.sampled_from(paths), st.sampled_from([*FUZZ_VALUES, DELETE])), max_size=3)):
+        apply_edit(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(pathlib.Path(tmp), "cfg.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, "--config", cfg_path, "--out", str(pathlib.Path(tmp) / "out")])
+    assert code in {EXIT_OK, EXIT_GATES, EXIT_SCHEMA, EXIT_NUMERICAL, EXIT_IO}
+    assert "Traceback" not in err.getvalue()
