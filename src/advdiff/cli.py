@@ -401,6 +401,7 @@ def run_commutator(cfg: dict, seed: int | None, threads: int):
         b_source=field, w_source=w, delta_schedule=dyadic_schedule(delta0, levels), mollifier_profile=profile,
         norm=norm, t_final=t_final, time_samples=time_samples,
     )
+    study_cfg.validate_resolvable()
 
     def compute():
         result = convergence_study(study_cfg, threads=threads)

@@ -10,18 +10,21 @@ kernel schedules and fits empirical rates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
 from .library import FieldSpec, instantiate
-from .mollify import MIN_DELTA_FACTOR, Mollifier, mollify
+from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
 from .solver import Trajectory
-from .spectral import divergence, gradient, spectral_core
+from .spectral import divergence, spectral_core
 
 __all__ = [
     "L1_SPACETIME",
@@ -51,18 +54,38 @@ def _check_grids(b: VectorField, w: ScalarField) -> None:
         raise ValueError("velocity and scalar live on different grids")
 
 
+class _Transport:
+    """The delta-independent half of the commutator of one (b, w).
+
+    Holds b, the coefficients of w and those of b . grad w, so each kernel
+    level costs only its multiplier: d + 1 inverse transforms.
+    """
+
+    def __init__(self, b: VectorField, w: ScalarField) -> None:
+        _check_grids(b, w)
+        self.b = b
+        self.core = spectral_core(w.grid)
+        self.w_hat = self.core.forward(w.values)
+        self.advected_hat = self.core.forward(self._dot_grad(self.w_hat))
+
+    def _dot_grad(self, coeffs: np.ndarray) -> np.ndarray:
+        """b . grad of the field with half-spectrum coefficients ``coeffs``."""
+        out = np.zeros(self.b.grid.shape)
+        for bj, ikj in zip(self.b.components, self.core.ik):
+            out = out + bj.values * self.core.inverse(ikj * coeffs)
+        return out
+
+    def commutator(self, mult: np.ndarray) -> ScalarField:
+        """r^delta for the kernel whose multiplier is ``mult``."""
+        first = self._dot_grad(mult * self.w_hat)
+        r = first - self.core.inverse(mult * self.advected_hat)
+        r.flags.writeable = False  # ScalarField keeps a read-only array without copying it
+        return ScalarField(self.b.grid, r)
+
+
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
     """r^delta = b . grad(w * rho^delta) - (b . grad w) * rho^delta."""
-    _check_grids(b, w)
-    smooth = mollify(w, m)
-    first = np.zeros(w.grid.shape)
-    for bj, gj in zip(b.components, gradient(smooth).components):
-        first = first + bj.values * gj.values
-    advected = np.zeros(w.grid.shape)
-    for bj, gj in zip(b.components, gradient(w).components):
-        advected = advected + bj.values * gj.values
-    second = mollify(ScalarField(w.grid, advected), m)
-    return ScalarField(w.grid, first - second.values)
+    return _Transport(b, w).commutator(kernel_multiplier(m, w.grid))
 
 
 def commutator_divform(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
@@ -128,10 +151,9 @@ class CommutatorStudyConfig:
         return self.w_source.grid
 
     def validate_resolvable(self) -> None:
-        floor = MIN_DELTA_FACTOR * self.grid.spacing
-        bad = [d for d in self.delta_schedule if d < floor]
-        if bad:
-            raise ValueError(f"kernel scales {bad} are not resolvable at N={self.grid.points_per_axis}")
+        """Raise ``UnderResolvedKernelError`` if any level is narrower than the grid resolves."""
+        for delta in self.delta_schedule:
+            check_resolvable(Mollifier(self.mollifier_profile, delta), self.grid)
 
     def validate_time_sampling(self) -> None:
         b = self.b_source
@@ -176,26 +198,20 @@ def _time_nodes(cfg: CommutatorStudyConfig):
     return times, weights, None
 
 
-def _b_at(cfg: CommutatorStudyConfig, grid: TorusGrid, t: float) -> VectorField:
+def _velocities(cfg: CommutatorStudyConfig, times):
+    """b at each time node: instantiated once per node, or once in all when static."""
     b = cfg.b_source
     if isinstance(b, VectorField):
-        return b
-    return instantiate(b, grid, t)
+        return itertools.repeat(b)
+    if not b.time_dependent:
+        return itertools.repeat(instantiate(b, cfg.grid))
+    return (instantiate(b, cfg.grid, float(t)) for t in times)
 
 
-def _level_norm(cfg: CommutatorStudyConfig, delta: float) -> float:
-    grid = cfg.grid
-    m = Mollifier(cfg.mollifier_profile, delta)
-    times, weights, states = _time_nodes(cfg)
-    acc = 0.0
-    for i, (t, wt) in enumerate(zip(times, weights)):
-        w = states[i] if states is not None else cfg.w_source
-        r = commutator(_b_at(cfg, grid, float(t)), w, m)
-        if cfg.norm == L1_SPACETIME:
-            acc += lp_norm(r, 1.0) * wt
-        else:
-            acc += h_norm(r, -1) ** 2 * wt
-    return acc if cfg.norm == L1_SPACETIME else math.sqrt(acc)
+def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
+    """One node's integrand of the space-time norm at one kernel level."""
+    r = transport.commutator(mult)
+    return lp_norm(r, 1.0) if norm == L1_SPACETIME else h_norm(r, -1) ** 2
 
 
 def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
@@ -219,18 +235,27 @@ def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
 def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStudy:
     """Evaluate the configured space-time norm along the schedule and fit a rate.
 
-    Levels are independent pure computations; ``threads`` fans them out.
-    The table is assembled in schedule order regardless of worker timing.
+    Time nodes are the outer loop: at each node b is instantiated once (once
+    in all when it is static) and the delta-independent half of the
+    commutator is computed once, so each level costs only its kernel
+    multiplier.  Only one node's pieces are held at a time.  ``threads`` fans
+    out the levels within each node; every level sums its node terms in node
+    order, so the norms do not depend on the thread count.
     """
     cfg.validate_resolvable()
     cfg.validate_time_sampling()
-    deltas = cfg.delta_schedule
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            norms = tuple(pool.map(lambda d: _level_norm(cfg, d), deltas))
-    else:
-        norms = tuple(_level_norm(cfg, d) for d in deltas)
-    return summarize_decay(deltas, norms, cfg.norm)
+    grid = cfg.grid
+    mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
+    times, weights, states = _time_nodes(cfg)
+    acc = [0.0] * len(mults)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        fan_out = pool.map if pool is not None else map
+        for i, (b, wt) in enumerate(zip(_velocities(cfg, times), weights)):
+            w = states[i] if states is not None else cfg.w_source
+            for j, term in enumerate(fan_out(partial(_level_term, cfg.norm, _Transport(b, w)), mults)):
+                acc[j] += term * wt
+    norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
+    return summarize_decay(cfg.delta_schedule, norms, cfg.norm)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ __all__ = [
     "UnderResolvedKernelError",
     "check_resolvable",
     "kernel_field",
+    "kernel_multiplier",
     "mollify",
     "dyadic_schedule",
 ]
@@ -61,7 +62,7 @@ def check_resolvable(m: Mollifier, grid: TorusGrid) -> None:
     if m.delta < MIN_DELTA_FACTOR * grid.spacing:
         raise UnderResolvedKernelError(
             f"kernel scale delta={m.delta} under-resolved on spacing {grid.spacing}"
-            f" (need delta >= {MIN_DELTA_FACTOR} * spacing)"
+            f" (resolvable only for delta >= {MIN_DELTA_FACTOR} * spacing)"
         )
 
 
@@ -107,10 +108,15 @@ def _kernel_values(m: Mollifier, grid: TorusGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _kernel_multiplier(m: Mollifier, grid: TorusGrid) -> np.ndarray:
-    # Fourier coefficients of the sampled kernel; real because the kernel is
-    # even.  The zero mode is pinned to 1 so convolution preserves the mean
-    # exactly.
+def kernel_multiplier(m: Mollifier, grid: TorusGrid) -> np.ndarray:
+    """Fourier multiplier of convolution with rho^delta, in the half-spectrum layout.
+
+    Multiplying ``spectral_core(grid).forward(f)`` by it convolves f with the
+    sampled kernel.  It is real because the kernel is even, and its zero mode
+    is pinned to 1 so convolution preserves the mean exactly.  The array is
+    cached per (m, grid) and read-only.  Raises UnderResolvedKernelError when
+    delta is below the resolvable floor.
+    """
     mult = (spectral_core(grid).forward(_kernel_values(m, grid)) / grid.size).real
     mult[(0,) * grid.dim] = 1.0
     mult.flags.writeable = False
@@ -127,7 +133,7 @@ def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
 
 def _mollify_scalar(f: ScalarField, m: Mollifier) -> ScalarField:
     core = spectral_core(f.grid)
-    return ScalarField(f.grid, core.inverse(core.forward(f.values) * _kernel_multiplier(m, f.grid)))
+    return ScalarField(f.grid, core.inverse(core.forward(f.values) * kernel_multiplier(m, f.grid)))
 
 
 def mollify(f, m: Mollifier):

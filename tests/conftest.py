@@ -38,6 +38,28 @@ def random_field(grid: TorusGrid, seed: int, max_mode: int = 5, count: int = 8) 
     return trig_field(grid, random_terms(rng, grid.dim, max_mode, count))
 
 
+def count_transforms(monkeypatch) -> list:
+    """Count every numpy.fft and scipy.fft transform call into the returned list.
+
+    Each transform is replaced where it is looked up, on its own module, so a
+    transform function cached anywhere else would escape the count.
+    """
+    import numpy.fft
+    import scipy.fft
+
+    calls = []
+    for mod in (numpy.fft, scipy.fft):
+        for name in [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]:
+            original = getattr(mod, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.fixture
 def grid64():
     return TorusGrid(2, 64)

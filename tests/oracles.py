@@ -5,6 +5,11 @@ the package's operators: every field is transformed with ``fftn`` on all N^d
 modes, and the real part of ``ifftn`` is kept.  They share no code with the
 half-spectrum core in ``advdiff.spectral``.
 
+The commutator study here is the level-by-level form: every kernel level
+instantiates b again at every time node and runs the commutator as four
+transform passes (mollify w, its gradient, the gradient of w, mollify
+b . grad w) built from the full-lattice forms.
+
 The region-map forms at the end format every cell of a ``RegionMap`` from
 scratch: label, flag string and coordinates, once for the CSV and once for
 the SVG.  They read only the public fields of each report.
@@ -18,9 +23,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from advdiff.grid import ScalarField, TorusGrid
+from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig
+from advdiff.grid import ScalarField, TorusGrid, VectorField
+from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import Mollifier, kernel_field
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
+from advdiff.solver import Trajectory
 
 
 def geodesic_distance(x, y) -> float:
@@ -110,6 +118,41 @@ def grad_l2_sq(values: np.ndarray, grid: TorusGrid) -> float:
     ksq = sum(k * k for k in derivative_wavenumbers(grid))
     uh = np.fft.fftn(values)
     return float(np.sum(4.0 * np.pi**2 * ksq * np.abs(uh) ** 2)) / grid.size**2
+
+
+def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> np.ndarray:
+    """r^delta = b . grad(w * rho^delta) - (b . grad w) * rho^delta in four transform passes."""
+    grid = w.grid
+    bs = [c.values for c in b.components]
+    first = sum(bj * gj for bj, gj in zip(bs, gradient(mollify(w.values, grid, m), grid)))
+    advected = sum(bj * gj for bj, gj in zip(bs, gradient(w.values, grid)))
+    return first - mollify(advected, grid, m)
+
+
+def study_norms(cfg: CommutatorStudyConfig) -> list[float]:
+    """The study's norm at each level, with the level loop outside the time-node loop."""
+    grid = cfg.grid
+    if isinstance(cfg.w_source, Trajectory):
+        times = np.asarray(cfg.w_source.times, dtype=np.float64)
+        nodes = list(zip(times[:-1], np.diff(times), cfg.w_source.states[:-1]))
+    elif isinstance(cfg.b_source, FieldSpec) and cfg.b_source.time_dependent:
+        step = cfg.t_final / cfg.time_samples
+        nodes = [((k + 0.5) * step, step, cfg.w_source) for k in range(cfg.time_samples)]
+    else:
+        nodes = [(0.0, cfg.t_final, cfg.w_source)]
+    norms = []
+    for delta in cfg.delta_schedule:
+        m = Mollifier(cfg.mollifier_profile, delta)
+        acc = 0.0
+        for t, weight, w in nodes:
+            b = cfg.b_source if isinstance(cfg.b_source, VectorField) else instantiate(cfg.b_source, grid, float(t))
+            r = commutator(b, w, m)
+            if cfg.norm == L1_SPACETIME:
+                acc += float(np.sum(np.abs(r))) * grid.cell_volume * weight
+            else:
+                acc += h_norm(r, grid, -1) ** 2 * weight
+        norms.append(acc if cfg.norm == L1_SPACETIME else math.sqrt(acc))
+    return norms
 
 
 def _flags(report: RegimeReport) -> tuple[bool, ...]:

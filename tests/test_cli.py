@@ -180,6 +180,29 @@ class TestCommutatorCommand:
         cfg_path = write_config(tmp_path, "com.json", cfg)
         assert main(["commutator", "--config", cfg_path, "--out", str(tmp_path / "s")]) == EXIT_GATES
 
+    def test_unresolvable_schedule_exits_before_compute(self, tmp_path, monkeypatch, capsys):
+        # at N=16 the floor is 1.5 / 16 = 0.094, so the last level 0.05 is unresolvable
+        cfg = {
+            "kind": "commutator",
+            "grid": {"dim": 2, "points_per_axis": 16},
+            "field": {"name": "taylor_green", "params": {}},
+            "w": {"kind": "sine", "mode": [1, 0]},
+            "study": {"delta0": 0.2, "levels": 3},
+        }
+
+        def never(*args, **kwargs):
+            pytest.fail("the study ran before the schedule was validated")
+
+        monkeypatch.setattr("advdiff.commutators.convergence_study", never)
+        monkeypatch.setattr("advdiff.cli.convergence_study", never)
+        cfg_path = write_config(tmp_path, "com.json", cfg)
+        out = tmp_path / "study"
+        assert main(["commutator", "--config", cfg_path, "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "delta=0.05" in err
+        assert not out.exists()
+
 
 class TestRegimeCommand:
     def test_classify_red_wedge(self, tmp_path, capsys):

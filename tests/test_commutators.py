@@ -14,11 +14,12 @@ from advdiff.commutators import (
 )
 from advdiff.grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
 from advdiff.library import FieldSpec, instantiate
-from advdiff.mollify import Mollifier, dyadic_schedule
+from advdiff.mollify import PROFILES, Mollifier, dyadic_schedule, kernel_multiplier
 from advdiff.solver import SolverConfig, solve
 from advdiff.spectral import gradient
 
-from conftest import random_field
+import oracles
+from conftest import count_transforms, random_field
 
 
 def gradient_velocity(grid, seed=61):
@@ -236,6 +237,94 @@ class TestConvergenceStudy:
         )
         st = convergence_study(cfg)
         assert st.verdict == "decay"
+
+
+def _study_case(case: str, norm: str, profile: str) -> CommutatorStudyConfig:
+    g = TorusGrid(2, 64)
+    w = random_field(g, seed=80, max_mode=4, count=6)
+    extra = {}
+    if case == "trajectory":
+        b = FieldSpec("taylor_green")
+        w = solve(b, w, SolverConfig(t_final=0.02, dt=1e-3, record_every=5))
+    elif case == "alternating_shear":
+        b, extra = FieldSpec(case, {"period": 0.25}), {"time_samples": 8}
+    else:
+        b = FieldSpec(case)
+    return CommutatorStudyConfig(
+        b_source=b, w_source=w, delta_schedule=dyadic_schedule(0.2, 4),
+        mollifier_profile=profile, norm=norm, **extra,
+    )
+
+
+class TestStudyMatchesLevelByLevelOracle:
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("norm", [L1_SPACETIME, L2_HMINUS1])
+    @pytest.mark.parametrize("case", ["taylor_green", "power_singularity", "alternating_shear", "trajectory"])
+    def test_norms_and_rate_match(self, case, norm, profile):
+        cfg = _study_case(case, norm, profile)
+        want = summarize_decay(cfg.delta_schedule, oracles.study_norms(cfg), norm)
+        serial = convergence_study(cfg, threads=1)
+        assert serial.norms == convergence_study(cfg, threads=4).norms
+        np.testing.assert_allclose(serial.norms, want.norms, rtol=1e-12, atol=0.0)
+        assert serial.verdict == want.verdict
+        assert serial.fitted_rate == pytest.approx(want.fitted_rate, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_pointwise_commutator_matches(self, profile):
+        g = TorusGrid(2, 64)
+        b = instantiate(FieldSpec("power_singularity"), g)
+        w = random_field(g, seed=81, max_mode=6)
+        m = Mollifier(profile, 0.1)
+        want = oracles.commutator(b, w, m)
+        assert np.max(np.abs(commutator(b, w, m).values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestStudyWorkCount:
+    def count_instantiate(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return instantiate(*args, **kwargs)
+
+        monkeypatch.setattr("advdiff.commutators.instantiate", counted)
+        return calls
+
+    def test_static_study_instantiates_once(self, monkeypatch):
+        calls = self.count_instantiate(monkeypatch)
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("taylor_green"), w_source=random_field(TorusGrid(2, 128), seed=82),
+            delta_schedule=dyadic_schedule(0.2, 5), norm=L2_HMINUS1,
+        )
+        convergence_study(cfg)
+        assert len(calls) == 1
+
+    def test_time_dependent_study_instantiates_once_per_node(self, monkeypatch, grid64):
+        calls = self.count_instantiate(monkeypatch)
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=random_field(grid64, seed=83),
+            delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
+        )
+        convergence_study(cfg, threads=2)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_static_study_transform_budget(self, monkeypatch, levels):
+        # Set-up: instantiate (2 forward + 2 inverse for the Leray projection,
+        # 2 forward + 1 inverse for the divergence gate), the forward of w,
+        # the d inverses of grad w and the forward of b . grad w: 11 in 2D.
+        # Each level: d + 1 inverses and the forward of the H^-1 norm.  The
+        # kernel multipliers are cached beforehand, so they are not counted.
+        g = TorusGrid(2, 128)
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("power_singularity", {"exponent": 1.25}), w_source=random_field(g, seed=84),
+            delta_schedule=dyadic_schedule(0.2, levels), norm=L2_HMINUS1,
+        )
+        for delta in cfg.delta_schedule:
+            kernel_multiplier(Mollifier(cfg.mollifier_profile, delta), g)
+        calls = count_transforms(monkeypatch)
+        convergence_study(cfg)
+        assert 0 < len(calls) <= 4 * levels + 11
 
 
 class TestDualityBound:

@@ -18,7 +18,7 @@ from advdiff.solver import (
     weak_residual,
 )
 
-from conftest import random_field
+from conftest import count_transforms, random_field
 
 
 def sine_mode(grid, axis=0):
@@ -241,22 +241,7 @@ class TestStepControl:
     def test_rk4_step_runs_at_most_twelve_transforms(self, monkeypatch):
         # Four stages of one inverse and d forward transforms each, plus the
         # inverse that record() needs; the first stage reuses that inverse.
-        # Every numpy.fft and scipy.fft transform is counted where it is
-        # looked up, so a transform cached anywhere would escape the count.
-        import numpy.fft
-        import scipy.fft
-
-        transforms = [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]
-        calls = []
-        for mod in (numpy.fft, scipy.fft):
-            for name in transforms:
-                original = getattr(mod, name)
-
-                def counted(*args, _original=original, **kwargs):
-                    calls.append(1)
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(mod, name, counted)
+        calls = count_transforms(monkeypatch)
         g = TorusGrid(2, 16)
         u0 = random_field(g, seed=5, max_mode=3)
         dt = 1e-3
