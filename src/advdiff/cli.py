@@ -184,7 +184,6 @@ def _parse_solver(block, grid: TorusGrid, context="solver") -> SolverConfig:
         "diffusion": _take(block, "diffusion", str, default="integrating_factor", context=context),
         "mollifier_profile": _take(block, "mollifier_profile", str, default="gaussian_periodized", context=context),
         "no_approximation": _take(block, "no_approximation", bool, default=False, context=context),
-        "dealias": _take(block, "dealias", bool, default=True, context=context),
         "record_every": _take(block, "record_every", int, default=1, context=context),
     }
     for name in ("dt", "cfl_safety", "mollify_b", "mollify_u0"):

@@ -198,14 +198,13 @@ def _time_nodes(cfg: CommutatorStudyConfig):
     return times, weights, None
 
 
-def _velocities(cfg: CommutatorStudyConfig, times):
-    """b at each time node: instantiated once per node, or once in all when static."""
-    b = cfg.b_source
+def _velocities(b, grid: TorusGrid, times):
+    """b at each of ``times``: instantiated once per time, or once in all when static."""
     if isinstance(b, VectorField):
-        return itertools.repeat(b)
+        return itertools.repeat(b, len(times))
     if not b.time_dependent:
-        return itertools.repeat(instantiate(b, cfg.grid))
-    return (instantiate(b, cfg.grid, float(t)) for t in times)
+        return itertools.repeat(instantiate(b, grid), len(times))
+    return (instantiate(b, grid, float(t)) for t in times)
 
 
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
@@ -250,7 +249,7 @@ def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStud
     acc = [0.0] * len(mults)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         fan_out = pool.map if pool is not None else map
-        for i, (b, wt) in enumerate(zip(_velocities(cfg, times), weights)):
+        for i, (b, wt) in enumerate(zip(_velocities(cfg.b_source, grid, times), weights)):
             w = states[i] if states is not None else cfg.w_source
             for j, term in enumerate(fan_out(partial(_level_term, cfg.norm, _Transport(b, w)), mults)):
                 acc[j] += term * wt
@@ -275,31 +274,36 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     For u^delta = u * rho^delta the budget
     0.5||u^delta(T)||^2 + int ||grad u^delta||^2 - 0.5||u^delta(0)||^2
     equals the space-time pairing of r^delta with u^delta up to quadrature;
-    both shrink together as delta -> 0.  Requires densely recorded snapshots.
+    both shrink together as delta -> 0.  b is taken at each snapshot time.
+    Requires densely recorded snapshots.
     """
     grid = traj.grid
     if len(traj.states) < 5:
         raise ValueError("trajectory must carry densely recorded snapshots")
-    b_field = b if isinstance(b, VectorField) else instantiate(b, grid, 0.0)
     times = np.asarray(traj.times, dtype=np.float64)
     cell = grid.cell_volume
     core = spectral_core(grid)
     grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
     size = grid.size
+    molls = [Mollifier(profile, float(delta)) for delta in deltas]
+
+    # Snapshots outside, levels inside: one snapshot's b(t) and u^delta are alive at a time.
+    grad_sq = [[] for _ in molls]
+    pairing = [[] for _ in molls]
+    half_sq = [[] for _ in molls]
+    last = len(traj.states) - 1
+    for k, (b_t, state) in enumerate(zip(_velocities(b, grid, times), traj.states)):
+        for j, m in enumerate(molls):
+            us = mollify(state, m)
+            grad_sq[j].append(core.parseval_sum(core.forward(us.values), grad_sym) / size**2)
+            r = commutator(b_t, state, m)
+            pairing[j].append(float(np.sum(r.values * us.values)) * cell)
+            if k in (0, last):
+                half_sq[j].append(0.5 * lp_norm(us, 2.0) ** 2)
 
     out = []
-    for delta in deltas:
-        m = Mollifier(profile, float(delta))
-        smooth = [mollify(s, m) for s in traj.states]
-        grad_sq = []
-        pairing = []
-        for state, us in zip(traj.states, smooth):
-            grad_sq.append(core.parseval_sum(core.forward(us.values), grad_sym) / size**2)
-            r = commutator(b_field, state, m)
-            pairing.append(float(np.sum(r.values * us.values)) * cell)
-        half_start = 0.5 * lp_norm(smooth[0], 2.0) ** 2
-        half_end = 0.5 * lp_norm(smooth[-1], 2.0) ** 2
-        residual = half_end + float(simpson(np.asarray(grad_sq), x=times)) - half_start
-        coupling = float(simpson(np.asarray(pairing), x=times))
-        out.append(CouplingRecord(float(delta), residual, coupling))
+    for m, grad_j, pairing_j, (half_start, half_end) in zip(molls, grad_sq, pairing, half_sq):
+        residual = half_end + float(simpson(np.asarray(grad_j), x=times)) - half_start
+        coupling = float(simpson(np.asarray(pairing_j), x=times))
+        out.append(CouplingRecord(m.delta, residual, coupling))
     return tuple(out)

@@ -24,6 +24,7 @@ __all__ = [
     "IntegrabilityCard",
     "TrendReport",
     "instantiate",
+    "sample_key",
     "integrability_card",
     "estimate_integrability",
     "estimate_time_integrability",
@@ -84,10 +85,6 @@ class FieldSpec:
             if k == key:
                 return v
         raise KeyError(key)
-
-    @property
-    def params_dict(self) -> dict[str, float]:
-        return dict(self.params)
 
     @property
     def time_dependent(self) -> bool:
@@ -277,15 +274,19 @@ def _relative_l2_shift(before: VectorField, after: VectorField) -> float:
     return math.sqrt(num / den) if den > 0.0 else 0.0
 
 
+def _switch_parity(spec: FieldSpec, t: float) -> int:
+    """0 while alternating_shear runs horizontally, 1 while it runs vertically."""
+    return int(math.floor(t / spec.param("period"))) % 2
+
+
 def _build_alternating_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     _require_planar(grid, spec.name)
     beta = spec.param("modulation_exponent")
     if beta > 0.0 and t <= 0.0:
         raise ValueError("alternating_shear with modulation_exponent > 0 is singular at t = 0")
-    period = spec.param("period")
-    parity = int(math.floor(t / period)) % 2
     modulation = t**-beta if beta > 0.0 else 1.0
-    comps = _shear_arrays(grid, spec.param("amplitude") * modulation, spec.param("cells"), horizontal=(parity == 0))
+    horizontal = _switch_parity(spec, t) == 0
+    comps = _shear_arrays(grid, spec.param("amplitude") * modulation, spec.param("cells"), horizontal=horizontal)
     return VectorField.from_arrays(grid, comps, divergence_free=True)
 
 
@@ -311,6 +312,21 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
     if defect > DIVERGENCE_GATE:
         raise AssertionError(f"catalog field {spec.name!r} failed the divergence gate: {defect:.3e}")
     return field
+
+
+def sample_key(spec: FieldSpec, t: float) -> int | float | None:
+    """Which times share one sample of the field: equal keys, identical arrays.
+
+    ``instantiate(spec, grid, t)`` returns byte-identical arrays for any two
+    times with equal keys.  The key is None for a static entry, the switch
+    parity for an unmodulated alternating_shear, and t itself when the
+    amplitude is modulated.
+    """
+    if not spec.time_dependent:
+        return None
+    if spec.param("modulation_exponent") > 0.0:
+        return t
+    return _switch_parity(spec, t)
 
 
 def _fit_trend(log_n: np.ndarray, log_integral: np.ndarray, samples) -> TrendReport:

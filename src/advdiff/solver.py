@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .grid import ScalarField, TorusGrid, VectorField, lp_from_values
-from .library import FieldSpec, instantiate, integrability_card
+from .library import FieldSpec, instantiate, integrability_card, sample_key
 from .mollify import Mollifier, mollify
 from .spectral import gradient, laplacian, spectral_core
 
@@ -111,7 +111,6 @@ class SolverConfig:
     mollify_u0: float | None = None
     mollifier_profile: str = "gaussian_periodized"
     no_approximation: bool = False  # opt out of the default smoothing of rough fields
-    dealias: bool = True
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -170,57 +169,33 @@ class Trajectory:
 
 
 class _VelocitySampler:
-    """Uniform access to b(t) as grid arrays, with mollification and caching.
+    """b(t) as grid arrays, mollified, one sample per ``library.sample_key``.
 
     Each cached sample is (components, max |component|), so the per-step CFL
     check never rescans a field it has already seen.
     """
 
-    def __init__(self, b, grid: TorusGrid, delta_b: float | None, profile: str):
-        self.grid = grid
-        self._moll = Mollifier(profile, delta_b) if delta_b is not None else None
-        self._static: tuple[tuple[np.ndarray, ...], float] | None = None
-        self._alternating: FieldSpec | None = None
-        self._parity_cache: dict[int, tuple[tuple[np.ndarray, ...], float]] = {}
-        if b is None:
-            self.is_zero = True
-            return
-        self.is_zero = False
+    def __init__(self, b, grid: TorusGrid, moll: Mollifier | None = None):
         if isinstance(b, VectorField):
             if b.grid != grid:
                 raise ValueError("velocity field grid does not match the solution grid")
-            self._static = self._prepare(b)
-        elif isinstance(b, FieldSpec):
-            if b.name == "alternating_shear":
-                if b.param("modulation_exponent") > 0.0:
-                    raise ValueError(
-                        "modulated alternating_shear is singular at t = 0;"
-                        " it is meant for quadrature studies, not solves"
-                    )
-                self._alternating = b
-            else:
-                self._static = self._prepare(instantiate(b, grid, 0.0))
-        else:
+        elif b is not None and not isinstance(b, FieldSpec):
             raise TypeError(f"unsupported velocity source {type(b).__name__}")
-
-    def _prepare(self, v: VectorField) -> tuple[tuple[np.ndarray, ...], float]:
-        if self._moll is not None:
-            v = mollify(v, self._moll)
-        comps = tuple(c.values for c in v.components)
-        return comps, max(float(np.max(np.abs(c))) for c in comps)
+        self.b = b
+        self.grid = grid
+        self._moll = moll
+        self._samples: dict[object, tuple[tuple[np.ndarray, ...], float]] = {}
 
     def _sample(self, t: float) -> tuple[tuple[np.ndarray, ...], float] | None:
-        if self.is_zero:
+        if self.b is None:
             return None
-        if self._static is not None:
-            return self._static
-        spec = self._alternating
-        period = spec.param("period")
-        parity = int(math.floor(t / period)) % 2
-        if parity not in self._parity_cache:
-            probe = (parity + 0.5) * period
-            self._parity_cache[parity] = self._prepare(instantiate(spec, self.grid, probe))
-        return self._parity_cache[parity]
+        key = sample_key(self.b, t) if isinstance(self.b, FieldSpec) else None
+        if key not in self._samples:
+            v = self.b if isinstance(self.b, VectorField) else instantiate(self.b, self.grid, t)
+            if self._moll is not None:
+                v = mollify(v, self._moll)
+            self._samples[key] = tuple(c.values for c in v.components), v.max_abs()
+        return self._samples[key]
 
     def components(self, t: float) -> tuple[np.ndarray, ...] | None:
         sample = self._sample(t)
@@ -244,16 +219,16 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     delta_b = config.mollify_b
     if delta_b is None and not config.no_approximation and _is_rough(b):
         delta_b = ROUGH_FIELD_DELTA_FACTOR * grid.spacing
-    sampler = _VelocitySampler(b, grid, delta_b, config.mollifier_profile)
+    moll_b = Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None
+    sampler = _VelocitySampler(b, grid, moll_b)
 
     if config.mollify_u0 is not None:
         u0 = mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
 
     core = spectral_core(grid)
     u_hat = core.forward(u0.values)
-    keep = core.keep if config.dealias else None
-    if keep is not None:
-        u_hat = np.where(keep, u_hat, 0.0)
+    keep = core.keep
+    u_hat = np.where(keep, u_hat, 0.0)
 
     spacing = grid.spacing
     max_b0 = sampler.max_abs(0.0)
@@ -292,8 +267,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
                 v_real = core.inverse(v_hat)
             for ikj, bj in zip(core.ik, comps):
                 out -= ikj * core.forward(bj * v_real)
-            if keep is not None:
-                out = np.where(keep, out, 0.0)
+            out = np.where(keep, out, 0.0)
         if config.diffusion == "explicit":
             out = out + lam * v_hat
         return out
@@ -438,7 +412,7 @@ def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
     if float(np.max(np.abs(end_vals))) > 1e-12 * scale:
         raise ValueError("test function must vanish at the final time")
 
-    sampler = _VelocitySampler(b, grid, None, "gaussian_periodized")
+    sampler = _VelocitySampler(b, grid)
     cell = grid.cell_volume
     integrand = []
     for t_k, state in zip(traj.times, traj.states):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,24 @@ def count_transforms(monkeypatch) -> list:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def count_calls(monkeypatch, target: str) -> list:
+    """Count the calls of the function at the dotted path ``target`` into the returned list.
+
+    Only lookups through ``target``'s module see the counter, so patch the
+    name where the code under test looks it up.
+    """
+    module, name = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, counted)
     return calls
 
 

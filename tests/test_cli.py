@@ -353,6 +353,11 @@ BAD_CONFIGS = {
         small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "mollify_b": 0.01}),
         "under-resolved",
     ),
+    "dealias_key": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "dealias": False}),
+        "solver: unknown keys ['dealias']",
+    ),
     "field_param_nan": (
         ["simulate"],
         dict(small_simulate_config(), field={"name": "taylor_green", "params": {"amplitude": NAN}}),

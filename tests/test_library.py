@@ -12,6 +12,7 @@ from advdiff.library import (
     estimate_time_integrability,
     instantiate,
     integrability_card,
+    sample_key,
 )
 from advdiff.spectral import divergence_defect
 
@@ -42,6 +43,35 @@ class TestFieldSpec:
     def test_time_dependence(self):
         assert FieldSpec("alternating_shear").time_dependent
         assert not FieldSpec("shear").time_dependent
+
+
+class TestSampleKey:
+    SWITCHING = FieldSpec("alternating_shear", {"period": 0.125})
+
+    @pytest.mark.parametrize(
+        "spec, t1, t2",
+        [
+            (FieldSpec("taylor_green"), 0.0, 0.7),
+            (FieldSpec("power_singularity", {"exponent": 1.25}), 0.0, 0.3),
+            (SWITCHING, 0.01, 0.1),  # one parity within a period
+            (SWITCHING, 0.01, 0.26),  # the same parity two periods on
+            (SWITCHING, 0.13, 0.38),
+        ],
+    )
+    def test_equal_keys_give_identical_arrays(self, grid32, spec, t1, t2):
+        assert sample_key(spec, t1) == sample_key(spec, t2)
+        first, second = instantiate(spec, grid32, t1), instantiate(spec, grid32, t2)
+        for a, b in zip(first.components, second.components):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_keys_tell_the_parities_apart(self):
+        assert sample_key(FieldSpec("shear"), 0.3) is None
+        assert sample_key(self.SWITCHING, 0.01) != sample_key(self.SWITCHING, 0.13)
+
+    def test_modulated_times_have_distinct_keys(self):
+        spec = FieldSpec("alternating_shear", {"period": 0.125, "modulation_exponent": 0.5})
+        times = (0.01, 0.1, 0.26)
+        assert len({sample_key(spec, t) for t in times}) == len(times)
 
 
 class TestInstantiate:

@@ -18,7 +18,7 @@ from advdiff.solver import (
     weak_residual,
 )
 
-from conftest import count_transforms, random_field
+from conftest import count_calls, count_transforms, random_field
 
 
 def sine_mode(grid, axis=0):
@@ -253,6 +253,29 @@ class TestStepControl:
         # the difference cancels the set-up transforms (field instantiation, the initial state)
         assert counts[0] > 0
         assert counts[1] - counts[0] <= 12 * 3
+
+
+class TestVelocitySampling:
+    """The solver instantiates b once per distinct ``library.sample_key``."""
+
+    def test_alternating_shear_instantiates_once_per_parity(self, monkeypatch):
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        g = TorusGrid(2, 16)
+        spec = FieldSpec("alternating_shear", {"period": 0.01})
+        solve(spec, sine_mode(g, axis=1), SolverConfig(t_final=0.05, dt=1e-3))  # five periods, four switches
+        assert len(calls) == 2
+
+    def test_static_spec_instantiates_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        solve(FieldSpec("taylor_green"), sine_mode(TorusGrid(2, 16)), SolverConfig(t_final=0.01, dt=1e-3))
+        assert len(calls) == 1
+
+    def test_vector_field_is_not_instantiated(self, monkeypatch):
+        g = TorusGrid(2, 16)
+        b = instantiate(FieldSpec("taylor_green"), g)
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        solve(b, sine_mode(g), SolverConfig(t_final=0.01, dt=1e-3))
+        assert len(calls) == 0
 
 
 class TestBetaDissipation:
