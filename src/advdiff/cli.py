@@ -34,9 +34,9 @@ from .library import (
     estimate_integrability,
     integrability_card,
 )
-from .mollify import PROFILES, Mollifier, check_resolvable, dyadic_schedule
+from .mollify import Mollifier, check_resolvable, dyadic_schedule
 from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
-from .solver import LQ_EXPONENTS, SolverAbort, SolverConfig, Trajectory, solve
+from .solver import LQ_EXPONENTS, SolverAbort, SolverConfig, Trajectory, beta_dissipation, solve
 
 __all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
 
@@ -322,9 +322,7 @@ def _simulate_gates(traj: Trajectory, tol: dict[str, float]) -> dict[str, bool]:
         gates[f"e1_l{label}"] = sup <= first.lq_norms[q] + tol["e1_slack"]
     gates["e2_dissipation"] = traj.diagnostics[-1].grad_l2_sq_cum <= 0.5 * first.lq_norms[2.0] ** 2 + tol["e2_slack"]
     for name in ("half_square", "arctan"):
-        series = [rec.beta_integrals[name] for rec in traj.diagnostics]
-        worst = max(b - a for a, b in zip(series, series[1:]))
-        gates[f"beta_{name}"] = worst <= tol["beta_slack"] * max(series[0], 1e-30)
+        gates[f"beta_{name}"] = beta_dissipation(traj, name) <= tol["beta_slack"] * max(first.beta_integrals[name], 1e-30)
     drift = max(abs(rec.mean - first.mean) for rec in traj.diagnostics)
     gates["mean_conserved"] = drift <= tol["mean_drift"] * max(1.0, abs(first.mean))
     return gates
@@ -394,8 +392,6 @@ def run_commutator(cfg: dict, seed: int | None, threads: int):
     expect_block = dict(_take(cfg, "expect", dict, default={}))
     expect_decay = _take(expect_block, "decay", (bool, type(None)), default=None, context="expect")
     _done(expect_block, "expect")
-    if profile not in PROFILES:
-        raise SchemaError(f"study.profile must be one of {PROFILES}")
     study_cfg = CommutatorStudyConfig(
         b_source=field, w_source=w, delta_schedule=dyadic_schedule(delta0, levels), mollifier_profile=profile,
         norm=norm, t_final=t_final, time_samples=time_samples,

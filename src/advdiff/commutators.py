@@ -10,7 +10,6 @@ kernel schedules and fits empirical rates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -20,10 +19,10 @@ from functools import partial
 import numpy as np
 from scipy.integrate import simpson
 
-from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
-from .library import FieldSpec, instantiate
+from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_from_values, lp_norm
+from .library import FieldSpec
 from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
-from .solver import Trajectory
+from .solver import Trajectory, VelocitySampler
 from .spectral import divergence, spectral_core
 
 __all__ = [
@@ -198,15 +197,6 @@ def _time_nodes(cfg: CommutatorStudyConfig):
     return times, weights, None
 
 
-def _velocities(b, grid: TorusGrid, times):
-    """b at each of ``times``: instantiated once per time, or once in all when static."""
-    if isinstance(b, VectorField):
-        return itertools.repeat(b, len(times))
-    if not b.time_dependent:
-        return itertools.repeat(instantiate(b, grid), len(times))
-    return (instantiate(b, grid, float(t)) for t in times)
-
-
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
     """One node's integrand of the space-time norm at one kernel level."""
     r = transport.commutator(mult)
@@ -234,24 +224,26 @@ def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
 def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStudy:
     """Evaluate the configured space-time norm along the schedule and fit a rate.
 
-    Time nodes are the outer loop: at each node b is instantiated once (once
-    in all when it is static) and the delta-independent half of the
-    commutator is computed once, so each level costs only its kernel
-    multiplier.  Only one node's pieces are held at a time.  ``threads`` fans
-    out the levels within each node; every level sums its node terms in node
-    order, so the norms do not depend on the thread count.
+    Time nodes are the outer loop: b is sampled through a ``VelocitySampler``
+    (once per ``library.sample_key``) and at each node the delta-independent
+    half of the commutator is computed once, so each level costs only its
+    kernel multiplier.  Only one node's pieces are held at a time.
+    ``threads`` fans out the levels within each node; every level sums its
+    node terms in node order, so the norms do not depend on the thread count.
     """
     cfg.validate_resolvable()
     cfg.validate_time_sampling()
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
     times, weights, states = _time_nodes(cfg)
+    sampler = VelocitySampler(cfg.b_source, grid)
     acc = [0.0] * len(mults)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         fan_out = pool.map if pool is not None else map
-        for i, (b, wt) in enumerate(zip(_velocities(cfg.b_source, grid, times), weights)):
+        for i, (t, wt) in enumerate(zip(times, weights)):
             w = states[i] if states is not None else cfg.w_source
-            for j, term in enumerate(fan_out(partial(_level_term, cfg.norm, _Transport(b, w)), mults)):
+            transport = _Transport(sampler.field(float(t)), w)
+            for j, term in enumerate(fan_out(partial(_level_term, cfg.norm, transport), mults)):
                 acc[j] += term * wt
     norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
     return summarize_decay(cfg.delta_schedule, norms, cfg.norm)
@@ -274,8 +266,9 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     For u^delta = u * rho^delta the budget
     0.5||u^delta(T)||^2 + int ||grad u^delta||^2 - 0.5||u^delta(0)||^2
     equals the space-time pairing of r^delta with u^delta up to quadrature;
-    both shrink together as delta -> 0.  b is taken at each snapshot time.
-    Requires densely recorded snapshots.
+    both shrink together as delta -> 0.  b is taken at each snapshot time,
+    and one transport per snapshot serves every level.  Requires densely
+    recorded snapshots.
     """
     grid = traj.grid
     if len(traj.states) < 5:
@@ -286,20 +279,24 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
     size = grid.size
     molls = [Mollifier(profile, float(delta)) for delta in deltas]
+    mults = [kernel_multiplier(m, grid) for m in molls]
+    sampler = VelocitySampler(b, grid)
 
-    # Snapshots outside, levels inside: one snapshot's b(t) and u^delta are alive at a time.
-    grad_sq = [[] for _ in molls]
-    pairing = [[] for _ in molls]
-    half_sq = [[] for _ in molls]
+    # Snapshots outside, levels inside: one snapshot's transport is alive at a time.
+    grad_sq = [[] for _ in mults]
+    pairing = [[] for _ in mults]
+    half_sq = [[] for _ in mults]
     last = len(traj.states) - 1
-    for k, (b_t, state) in enumerate(zip(_velocities(b, grid, times), traj.states)):
-        for j, m in enumerate(molls):
-            us = mollify(state, m)
-            grad_sq[j].append(core.parseval_sum(core.forward(us.values), grad_sym) / size**2)
-            r = commutator(b_t, state, m)
-            pairing[j].append(float(np.sum(r.values * us.values)) * cell)
+    for k, (t, state) in enumerate(zip(times, traj.states)):
+        transport = _Transport(sampler.field(float(t)), state)
+        for j, mult in enumerate(mults):
+            us_hat = mult * transport.w_hat
+            us = core.inverse(us_hat)
+            grad_sq[j].append(core.parseval_sum(us_hat, grad_sym) / size**2)
+            r = transport.commutator(mult)
+            pairing[j].append(float(np.sum(r.values * us)) * cell)
             if k in (0, last):
-                half_sq[j].append(0.5 * lp_norm(us, 2.0) ** 2)
+                half_sq[j].append(0.5 * lp_from_values(us, 2.0, cell) ** 2)
 
     out = []
     for m, grad_j, pairing_j, (half_start, half_end) in zip(molls, grad_sq, pairing, half_sq):

@@ -18,6 +18,7 @@ __all__ = [
     "MIN_DELTA_FACTOR",
     "Mollifier",
     "UnderResolvedKernelError",
+    "check_profile",
     "check_resolvable",
     "kernel_field",
     "kernel_multiplier",
@@ -38,6 +39,12 @@ class UnderResolvedKernelError(ValueError):
     """Kernel scale delta too small for the grid spacing."""
 
 
+def check_profile(profile: str) -> None:
+    """Raise ``ValueError`` unless ``profile`` names one of the kernel families in ``PROFILES``."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown mollifier profile {profile!r}; choose from {PROFILES}")
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Convolution kernel family member: a profile shape at scale delta > 0.
@@ -51,8 +58,7 @@ class Mollifier:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.profile not in PROFILES:
-            raise ValueError(f"unknown mollifier profile {self.profile!r}; choose from {PROFILES}")
+        check_profile(self.profile)
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 

@@ -19,7 +19,7 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from .grid import ScalarField, TorusGrid, VectorField, lp_from_values
 from .library import FieldSpec, instantiate, integrability_card, sample_key
-from .mollify import Mollifier, mollify
+from .mollify import Mollifier, check_profile, mollify
 from .spectral import gradient, laplacian, spectral_core
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "DiagnosticsRecord",
     "Trajectory",
     "SolverAbort",
+    "VelocitySampler",
     "ConvexFunction",
     "HALF_SQUARE",
     "ARCTAN_PRIMITIVE",
@@ -128,6 +129,7 @@ class SolverConfig:
             raise ValueError("diffusion must be 'integrating_factor' or 'explicit'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        check_profile(self.mollifier_profile)
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,6 @@ class Trajectory:
     states: tuple[ScalarField, ...]
     diagnostics: tuple[DiagnosticsRecord, ...]
     dt: float
-    config: SolverConfig
-    b_source: object = None
 
     @property
     def t_final(self) -> float:
@@ -168,11 +168,13 @@ class Trajectory:
         return self.states[-1]
 
 
-class _VelocitySampler:
-    """b(t) as grid arrays, mollified, one sample per ``library.sample_key``.
+class VelocitySampler:
+    """b(t) of a source b (None, a VectorField or a FieldSpec), optionally
+    mollified, sampled once per ``library.sample_key`` as (field, max |b|);
+    with no source, ``field(t)`` is None and ``max_abs(t)`` is 0.
 
-    Each cached sample is (components, max |component|), so the per-step CFL
-    check never rescans a field it has already seen.
+    At most two samples are kept, the oldest dropped first: both parities of
+    a switching field fit, and callers ask for time-keyed samples in increasing t.
     """
 
     def __init__(self, b, grid: TorusGrid, moll: Mollifier | None = None):
@@ -184,9 +186,9 @@ class _VelocitySampler:
         self.b = b
         self.grid = grid
         self._moll = moll
-        self._samples: dict[object, tuple[tuple[np.ndarray, ...], float]] = {}
+        self._samples: dict[object, tuple[VectorField, float]] = {}
 
-    def _sample(self, t: float) -> tuple[tuple[np.ndarray, ...], float] | None:
+    def _sample(self, t: float) -> tuple[VectorField, float] | None:
         if self.b is None:
             return None
         key = sample_key(self.b, t) if isinstance(self.b, FieldSpec) else None
@@ -194,10 +196,12 @@ class _VelocitySampler:
             v = self.b if isinstance(self.b, VectorField) else instantiate(self.b, self.grid, t)
             if self._moll is not None:
                 v = mollify(v, self._moll)
-            self._samples[key] = tuple(c.values for c in v.components), v.max_abs()
+            if len(self._samples) == 2:
+                del self._samples[next(iter(self._samples))]
+            self._samples[key] = v, v.max_abs()
         return self._samples[key]
 
-    def components(self, t: float) -> tuple[np.ndarray, ...] | None:
+    def field(self, t: float) -> VectorField | None:
         sample = self._sample(t)
         return None if sample is None else sample[0]
 
@@ -220,7 +224,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     if delta_b is None and not config.no_approximation and _is_rough(b):
         delta_b = ROUGH_FIELD_DELTA_FACTOR * grid.spacing
     moll_b = Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None
-    sampler = _VelocitySampler(b, grid, moll_b)
+    sampler = VelocitySampler(b, grid, moll_b)
 
     if config.mollify_u0 is not None:
         u0 = mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
@@ -260,13 +264,13 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
 
     def rhs(v_hat: np.ndarray, t: float, v_real: np.ndarray | None = None) -> np.ndarray:
         """Advection (and explicit diffusion) term; ``v_real`` is v_hat on the grid if already known."""
-        comps = sampler.components(t)
+        b_t = sampler.field(t)
         out = np.zeros(core.shape, dtype=np.complex128)
-        if comps is not None:
+        if b_t is not None:
             if v_real is None:
                 v_real = core.inverse(v_hat)
-            for ikj, bj in zip(core.ik, comps):
-                out -= ikj * core.forward(bj * v_real)
+            for ikj, bj in zip(core.ik, b_t.components):
+                out -= ikj * core.forward(bj.values * v_real)
             out = np.where(keep, out, 0.0)
         if config.diffusion == "explicit":
             out = out + lam * v_hat
@@ -293,9 +297,8 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         for name, bf in betas.items():
             beta_series[name].append(float(np.sum(bf.fn(cur_real))) * cell)
         if step % config.record_every == 0 or step == n_steps:
-            if not snapshot_steps or snapshot_steps[-1] != step:
-                snapshot_steps.append(step)
-                snapshots.append(ScalarField(grid, cur_real.copy()))
+            snapshot_steps.append(step)
+            snapshots.append(ScalarField(grid, cur_real.copy()))
 
     u_real = core.inverse(u_hat)
     record(0, 0.0, u_hat, u_real)
@@ -351,8 +354,6 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         states=tuple(snapshots),
         diagnostics=tuple(records),
         dt=dt,
-        config=config,
-        b_source=b,
     )
 
 
@@ -412,17 +413,16 @@ def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
     if float(np.max(np.abs(end_vals))) > 1e-12 * scale:
         raise ValueError("test function must vanish at the final time")
 
-    sampler = _VelocitySampler(b, grid)
+    sampler = VelocitySampler(b, grid)
     cell = grid.cell_volume
     integrand = []
     for t_k, state in zip(traj.times, traj.states):
         w = ScalarField(grid, np.asarray(phi.value(float(t_k), grid)))
         total = np.asarray(phi.time_derivative(float(t_k), grid)) + laplacian(w).values
-        comps = sampler.components(float(t_k))
-        if comps is not None:
-            gw = gradient(w)
-            for bj, gj in zip(comps, gw.components):
-                total = total + bj * gj.values
+        b_t = sampler.field(float(t_k))
+        if b_t is not None:
+            for bj, gj in zip(b_t.components, gradient(w).components):
+                total = total + bj.values * gj.values
         integrand.append(float(np.sum(state.values * total)) * cell)
     space_time = float(simpson(np.asarray(integrand), x=traj.times))
     initial = float(np.sum(traj.states[0].values * np.asarray(phi.value(0.0, grid)))) * cell

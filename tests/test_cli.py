@@ -305,6 +305,18 @@ def small_simulate_config(datum=None, solver=None):
     )
 
 
+def small_commutator_config(**study):
+    return {
+        "kind": "commutator",
+        "seed": 1,
+        "grid": {"dim": 2, "points_per_axis": 16},
+        "field": {"name": "power_singularity", "params": {"exponent": 1.25}},
+        "w": {"kind": "random_bandlimited", "max_mode": 2, "amplitude": 1.0},
+        "study": {"delta0": 0.5, "levels": 2, "norm": "L2_Hminus1", "t_final": 0.01, "time_samples": 1, **study},
+        "expect": {"decay": True},
+    }
+
+
 def audit_config(**overrides):
     cfg = {
         "kind": "field-audit",
@@ -358,6 +370,12 @@ BAD_CONFIGS = {
         small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "dealias": False}),
         "solver: unknown keys ['dealias']",
     ),
+    "profile_bogus_simulate": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "mollifier_profile": "bogus"}),
+        "unknown mollifier profile 'bogus'",
+    ),
+    "profile_bogus_commutator": (["commutator"], small_commutator_config(profile="bogus"), "unknown mollifier profile 'bogus'"),
     "field_param_nan": (
         ["simulate"],
         dict(small_simulate_config(), field={"name": "taylor_green", "params": {"amplitude": NAN}}),
@@ -458,18 +476,7 @@ FUZZ_BASES = {
             "tolerances": {"e1_slack": 1e-8},
         },
     ),
-    "commutator": (
-        ["commutator"],
-        {
-            "kind": "commutator",
-            "seed": 1,
-            "grid": {"dim": 2, "points_per_axis": 16},
-            "field": {"name": "power_singularity", "params": {"exponent": 1.25}},
-            "w": {"kind": "random_bandlimited", "max_mode": 2, "amplitude": 1.0},
-            "study": {"delta0": 0.5, "levels": 2, "norm": "L2_Hminus1", "t_final": 0.01, "time_samples": 1},
-            "expect": {"decay": True},
-        },
-    ),
+    "commutator": (["commutator"], small_commutator_config()),
     "regime map": (["regime", "map"], {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16}),
 }
 FUZZ_VALUES = [0, 1, -1, 2, 0.5, 1e-3, NAN, float("inf"), True, None, "abc", [], [1, 0], [True, 0.5], {}]

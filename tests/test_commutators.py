@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,7 @@ class TestStudyMatchesLevelByLevelOracle:
 
 class TestStudyWorkCount:
     def test_static_study_instantiates_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "advdiff.commutators.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("taylor_green"), w_source=random_field(TorusGrid(2, 128), seed=82),
             delta_schedule=dyadic_schedule(0.2, 5), norm=L2_HMINUS1,
@@ -290,13 +292,41 @@ class TestStudyWorkCount:
         assert len(calls) == 1
 
     def test_time_dependent_study_instantiates_once_per_node(self, monkeypatch, grid64):
-        calls = count_calls(monkeypatch, "advdiff.commutators.instantiate")
+        # Unmodulated, the six nodes share the two parities of the switch.
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=random_field(grid64, seed=83),
             delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
         )
         convergence_study(cfg, threads=2)
+        assert len(calls) == 2
+
+    def test_modulated_study_instantiates_once_per_node(self, monkeypatch, grid64):
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
+            w_source=random_field(grid64, seed=83), delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
+        )
+        convergence_study(cfg, threads=2)
         assert len(calls) == 6
+
+    def test_modulated_study_peak_memory_does_not_grow_with_nodes(self, grid64):
+        w = random_field(grid64, seed=85)
+
+        def peak(nodes):
+            cfg = CommutatorStudyConfig(
+                b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
+                w_source=w, delta_schedule=dyadic_schedule(0.2, 3), time_samples=nodes,
+            )
+            tracemalloc.start()
+            try:
+                convergence_study(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # fill the spectral-core and kernel-multiplier caches first
+        assert peak(16) <= peak(2) + 3 * w.values.nbytes
 
     @pytest.mark.parametrize("levels", [2, 5])
     def test_static_study_transform_budget(self, monkeypatch, levels):
@@ -354,6 +384,45 @@ class TestEnergyCoupling:
         traj = solve(spec, u0, SolverConfig(t_final=0.1, dt=1.25e-4, record_every=1))
         for rec in mollified_energy_coupling(traj, spec, "gaussian_periodized", (0.2, 0.1, 0.05)):
             assert rec.gap <= 1e-5
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("case", ["taylor_green", "rotation_bump", "alternating_shear"])
+    def test_matches_per_snapshot_oracle(self, case, profile):
+        g = TorusGrid(2, 32)
+        u0 = random_field(g, seed=86, max_mode=2, count=4)
+        if case == "rotation_bump":
+            b = instantiate(FieldSpec(case), g)
+        elif case == "alternating_shear":
+            b = FieldSpec(case, {"period": 0.025, "amplitude": 3.0})
+        else:
+            b = FieldSpec(case)
+        traj = solve(b, u0, SolverConfig(t_final=0.02, dt=2.5e-4))
+        deltas = (0.4, 0.2, 0.1)
+        got = mollified_energy_coupling(traj, b, profile, deltas)
+        want = oracles.energy_coupling(traj, b, profile, deltas)
+        assert [rec.delta for rec in got] == [rec.delta for rec in want]
+        assert [rec.coupling_integral for rec in got] == [rec.coupling_integral for rec in want]
+        # The residual cancels terms of the size of the initial energy, so its
+        # roundoff is measured against that energy, not against the residual.
+        energy = 0.5 * lp_norm(u0, 2.0) ** 2
+        for rec, ref in zip(got, want):
+            assert rec.energy_residual == pytest.approx(ref.energy_residual, rel=1e-12, abs=1e-12 * energy)
+
+    def test_transform_budget(self, monkeypatch):
+        # Per snapshot: the transport's forward of u, d inverses of grad u and
+        # the forward of b . grad u; per level the d + 1 inverses of r^delta
+        # and the inverse of u^delta.  The 3 is the divergence gate of the one
+        # instantiate of the static field.
+        g = TorusGrid(2, 32)
+        b = FieldSpec("taylor_green")
+        traj = solve(b, random_field(g, seed=87, max_mode=2, count=4), SolverConfig(t_final=0.01, dt=1e-3))
+        deltas = (0.4, 0.2, 0.1)
+        for delta in deltas:
+            kernel_multiplier(Mollifier("gaussian_periodized", delta), g)
+        calls = count_transforms(monkeypatch)
+        mollified_energy_coupling(traj, b, "gaussian_periodized", deltas)
+        snapshots, levels = len(traj.states), len(deltas)
+        assert 0 < len(calls) <= snapshots * (g.dim + 2) * (levels + 1) + 3
 
     def test_requires_dense_snapshots(self):
         g = TorusGrid(2, 32)
