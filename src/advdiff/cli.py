@@ -5,7 +5,7 @@ Subcommands: ``simulate``, ``commutator``, ``regime classify|map``,
 rejected); every config run goes through ``run_config``, which writes the
 artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
-2 schema violation, 3 numerical abort, 4 I/O failure.
+2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -584,6 +584,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except SolverAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical abort: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -268,8 +268,10 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     equals the space-time pairing of r^delta with u^delta up to quadrature;
     both shrink together as delta -> 0.  b is taken at each snapshot time,
     and one transport per snapshot serves every level.  Requires densely
-    recorded snapshots.
+    recorded snapshots and a velocity.
     """
+    if b is None:
+        raise ValueError("the energy coupling needs a velocity b: without one the commutator vanishes")
     grid = traj.grid
     if len(traj.states) < 5:
         raise ValueError("trajectory must carry densely recorded snapshots")

@@ -162,10 +162,6 @@ def _smoothstep(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, ds
 
 
-def _center(grid: TorusGrid) -> list[float]:
-    return [0.5] * grid.dim
-
-
 def _planar_geometry(grid: TorusGrid):
     """Wrapped in-plane displacement from the cell center and its radius."""
     coords = grid.coordinate_mesh()

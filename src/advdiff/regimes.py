@@ -139,38 +139,50 @@ def classify(q: RegimeQuery) -> RegimeReport:
 
     Points with the same flags, tags and questions share one report object.
     """
-    d = q.d
-    sum_pq = q.inv_p + q.inv_q
-    product_defined = sum_pq <= 1.0
-    distributional_exists = product_defined  # existence needs only L^1 in time
-    parabolic_exists = product_defined and q.inv_p <= 0.5 and q.inv_q <= 0.5
-    parabolic_unique = parabolic_exists and q.inv_alpha <= 0.5
-    all_distributional_parabolic = q.inv_alpha <= 0.5 and sum_pq <= 0.5
+    return _row(q.d, q.inv_alpha, q.inv_p)(q.inv_q)
 
-    tags: list[str] = []
-    questions: list[str] = []
-    if product_defined:
-        cih1_threshold = (d + 2.0) / (2.0 * d)
-        if q.inv_p > cih1_threshold:
-            tags.append("CIH1")
-        if d > 2 and sum_pq == 1.0 and q.inv_p > 1.0 / d:
-            tags.append("DISTR")
-        if d > 2 and q.inv_p == 0.5 and q.inv_q == 0.5:
-            tags.append("P2Q2")
 
-        if 0.5 < q.inv_p <= cih1_threshold:
-            questions.append("Q1")
-        if q.inv_alpha > 0.5 and q.inv_p <= 0.5:
-            questions.extend(("Q2", "Q3"))
-        if q.inv_alpha > 0.5 and sum_pq <= 0.5:
-            questions.append("Q4")
-        if d == 2 and q.inv_p == 0.5 and q.inv_q == 0.5:
-            questions.append("Q5")
+def _row(d: int, inv_alpha: float, inv_p: float):
+    """The classifier of one row (d, 1/alpha, 1/p) of the square: a function of 1/q.
+
+    The predicates that read only d, 1/alpha and 1/p are evaluated here, once;
+    the returned function evaluates those that involve 1/q.  The arguments are
+    not validated: ``RegimeQuery`` does that for public queries.
+    """
+    cih1_threshold = (d + 2.0) / (2.0 * d)
+    p_ge_2 = inv_p <= 0.5
+    alpha_ge_2 = inv_alpha <= 0.5
+    row_tags = ("CIH1",) if inv_p > cih1_threshold else ()
+    row_questions = ("Q1",) if 0.5 < inv_p <= cih1_threshold else ()
+    if not alpha_ge_2 and p_ge_2:
+        row_questions += ("Q2", "Q3")
+    distr = d > 2 and inv_p > 1.0 / d  # and 1/p + 1/q = 1
+    p2q2 = d > 2 and inv_p == 0.5  # and 1/q = 1/2
+    q5 = d == 2 and inv_p == 0.5  # and 1/q = 1/2
+    undefined = _report((False,) * len(FLAG_NAMES), (), ())
+
+    def cell(inv_q: float) -> RegimeReport:
+        sum_pq = inv_p + inv_q
+        if not sum_pq <= 1.0:  # the product u b is undefined: no statement applies
+            return undefined
+        # existence needs only L^1 in time, so distributional_exists = product_defined
+        parabolic_exists = p_ge_2 and inv_q <= 0.5
+        flags = (True, True, parabolic_exists, parabolic_exists and alpha_ge_2, alpha_ge_2 and sum_pq <= 0.5)
+        tags = row_tags
+        if distr and sum_pq == 1.0:
+            tags += ("DISTR",)
+        if p2q2 and inv_q == 0.5:
+            tags += ("P2Q2",)
+        questions = row_questions
+        if not alpha_ge_2 and sum_pq <= 0.5:
+            questions += ("Q4",)
+        if q5 and inv_q == 0.5:
+            questions += ("Q5",)
         if 0.5 < sum_pq < 1.0:
-            questions.append("Q6")
+            questions += ("Q6",)
+        return _report(flags, tags, questions)
 
-    flags = (product_defined, distributional_exists, parabolic_exists, parabolic_unique, all_distributional_parabolic)
-    return _report(flags, tuple(tags), tuple(questions))
+    return cell
 
 
 @lru_cache(maxsize=None)  # finite key space: 5 chained flags, 3 tags, 6 questions
@@ -216,11 +228,9 @@ class RegionMap:
 def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    centers = [(i + 0.5) / resolution for i in range(resolution)]
-    reports = tuple(
-        tuple(classify(RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=inv_p, inv_q=inv_q)) for inv_q in centers)
-        for inv_p in centers
-    )
+    RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=0.5, inv_q=0.5)  # validates d and 1/alpha, once
+    centers = [(i + 0.5) / resolution for i in range(resolution)]  # in (0, 1) by construction
+    reports = tuple(tuple(map(_row(d, inv_alpha, inv_p), centers)) for inv_p in centers)
     return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=reports)
 
 

@@ -15,9 +15,11 @@ b at every snapshot and, at every level, mollifies the snapshot and runs the
 package's one-shot ``commutator``, so its couplings equal the package's bit
 for bit while its energy residuals take one more transform round trip.
 
-The region-map forms at the end format every cell of a ``RegionMap`` from
-scratch: label, flag string and coordinates, once for the CSV and once for
-the SVG.  They read only the public fields of each report.
+The regime classifier here evaluates every predicate at every point, with
+no part shared between the cells of a row, and builds a fresh report each
+time.  The region-map forms at the end format every cell of a ``RegionMap``
+from scratch: label, flag string and coordinates, once for the CSV and once
+for the SVG.  They read only the public fields of each report.
 """
 
 from __future__ import annotations
@@ -188,6 +190,47 @@ def energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[Coupling
         coupling = float(simpson(np.asarray(pairing_j), x=times))
         out.append(CouplingRecord(m.delta, residual, coupling))
     return tuple(out)
+
+
+def classify(d: int, inv_alpha: float, inv_p: float, inv_q: float) -> RegimeReport:
+    """Every statement applied at one point (d, 1/alpha, 1/p, 1/q); no validation."""
+    sum_pq = inv_p + inv_q
+    product_defined = sum_pq <= 1.0
+    distributional_exists = product_defined  # existence needs only L^1 in time
+    parabolic_exists = product_defined and inv_p <= 0.5 and inv_q <= 0.5
+    parabolic_unique = parabolic_exists and inv_alpha <= 0.5
+    all_distributional_parabolic = inv_alpha <= 0.5 and sum_pq <= 0.5
+
+    tags: list[str] = []
+    questions: list[str] = []
+    if product_defined:
+        cih1_threshold = (d + 2.0) / (2.0 * d)
+        if inv_p > cih1_threshold:
+            tags.append("CIH1")
+        if d > 2 and sum_pq == 1.0 and inv_p > 1.0 / d:
+            tags.append("DISTR")
+        if d > 2 and inv_p == 0.5 and inv_q == 0.5:
+            tags.append("P2Q2")
+
+        if 0.5 < inv_p <= cih1_threshold:
+            questions.append("Q1")
+        if inv_alpha > 0.5 and inv_p <= 0.5:
+            questions.extend(("Q2", "Q3"))
+        if inv_alpha > 0.5 and sum_pq <= 0.5:
+            questions.append("Q4")
+        if d == 2 and inv_p == 0.5 and inv_q == 0.5:
+            questions.append("Q5")
+        if 0.5 < sum_pq < 1.0:
+            questions.append("Q6")
+
+    flags = (product_defined, distributional_exists, parabolic_exists, parabolic_unique, all_distributional_parabolic)
+    cited = ["product_defined"] + [name for name, on in zip(FLAG_NAMES[1:], flags[1:]) if on] + tags + questions
+    return RegimeReport(
+        *flags,
+        known_nonuniqueness=tuple(tags),
+        open_questions=tuple(questions),
+        citations=tuple((sid, STATEMENTS[sid]) for sid in cited),
+    )
 
 
 def _flags(report: RegimeReport) -> tuple[bool, ...]:

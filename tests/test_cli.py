@@ -258,6 +258,13 @@ class TestRegimeCommand:
         assert f"config.{key}: expected" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_map_flags_rejects_dimension_below_one(self, tmp_path, capsys):
+        svg = tmp_path / "fig.svg"
+        assert main(["regime", "map", "--d", "0", "--alpha", "inf", "--resolution", "16", "--out", str(svg)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dimension must be >= 1") and "Traceback" not in err
+        assert not svg.exists()
+
     def test_map_requires_flags_or_config(self):
         assert main(["regime", "map", "--alpha", "inf"]) == EXIT_SCHEMA
 
@@ -381,6 +388,8 @@ BAD_CONFIGS = {
         dict(small_simulate_config(), field={"name": "taylor_green", "params": {"amplitude": NAN}}),
         "field.params.amplitude: must be finite",
     ),
+    "regime_d_zero": (["regime", "map"], {"kind": "regime-map", "d": 0, "resolution": 16}, "config error: dimension must be >= 1"),
+    "regime_d_negative": (["regime", "map"], {"kind": "regime-map", "d": -1, "resolution": 16}, "config error: dimension must be >= 1"),
 }
 
 
@@ -440,6 +449,18 @@ class TestPublish:
         assert self.run(tmp_path, out, seed=8) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o failure: disk full")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+    def test_out_of_memory_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the state")
+
+        monkeypatch.setattr("advdiff.cli.solve", exhausted)
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical abort: out of memory: cannot allocate the state\n"
+        assert not out.exists()
         assert not list(tmp_path.glob(".tmp-run-*"))
 
     @pytest.mark.parametrize("target", ["foreign_directory", "file"])

@@ -430,3 +430,11 @@ class TestEnergyCoupling:
         traj = solve(None, u0, SolverConfig(t_final=0.01, dt=5e-3, record_every=100))
         with pytest.raises(ValueError, match="dense"):
             mollified_energy_coupling(traj, FieldSpec("taylor_green"), "gaussian_periodized", (0.1,))
+
+    def test_pure_diffusion_rejected(self):
+        # solve accepts b = None; the coupling has no commutator to pair without a velocity
+        g = TorusGrid(2, 16)
+        u0 = random_field(g, seed=80, max_mode=2, count=3)
+        traj = solve(None, u0, SolverConfig(t_final=0.01, dt=1e-3))
+        with pytest.raises(ValueError, match="needs a velocity"):
+            mollified_energy_coupling(traj, None, "gaussian_periodized", (0.4,))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import hypothesis
@@ -227,3 +229,62 @@ class TestSharedReports:
         b = classify(RegimeQuery(d=3, inv_alpha=0.0, inv_p=0.2, inv_q=0.1))
         assert a.label == b.label
         assert a is b
+
+
+# d = 1 through 4 and 1/alpha on both sides of 1/2; resolution 37 puts a cell
+# centre exactly on 1/2, which reaches the P2Q2 and Q5 equalities, and the
+# dyadic resolutions reach DISTR's 1/p + 1/q = 1 exactly.
+@pytest.mark.parametrize("resolution", [16, 37, 64])
+@pytest.mark.parametrize("inv_alpha", [0.0, 0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_region_map_reports_match_per_cell_classifier(d, inv_alpha, resolution):
+    rm = emit_region_map(d, inv_alpha, resolution)
+    for i in range(resolution):
+        for j in range(resolution):
+            inv_p, inv_q = rm.cell_center(i, j)
+            assert rm.reports[i][j].as_dict() == oracles.classify(d, inv_alpha, inv_p, inv_q).as_dict()
+
+
+@st.composite
+def query_points(draw):
+    """(d, 1/alpha, 1/p, 1/q) with each reciprocal on a threshold or anywhere in [0, 1]."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    thresholds = [x for x in (0.0, 1.0 / d, 0.5, (d + 2.0) / (2.0 * d), 1.0) if x <= 1.0]
+    reciprocal = st.sampled_from(thresholds) | st.floats(min_value=0.0, max_value=1.0)
+    return d, draw(reciprocal), draw(reciprocal), draw(reciprocal)
+
+
+@hypothesis.given(query_points())
+@hypothesis.settings(max_examples=500, deadline=None)
+def test_classify_matches_per_point_oracle(point):
+    rep = classify(RegimeQuery(*point))
+    assert rep.as_dict() == oracles.classify(*point).as_dict()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_classify_matches_per_point_oracle_on_thresholds(d):
+    # every threshold and its complement, so that 1/p + 1/q = 1 is reached
+    # with 1/p on a threshold (1/4 + 3/4 at d = 4 tests DISTR's strict 1/p > 1/d)
+    thresholds = {0.0, 1.0 / d, 0.5, (d + 2.0) / (2.0 * d), 1.0}
+    values = sorted(x for t in thresholds for x in (t, 1.0 - t) if 0.0 <= x <= 1.0)
+    for point in itertools.product([d], values, values, values):
+        assert classify(RegimeQuery(*point)).as_dict() == oracles.classify(*point).as_dict(), point
+
+
+def test_region_map_builds_at_most_one_query(monkeypatch):
+    built = []
+    post_init = RegimeQuery.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RegimeQuery, "__post_init__", counting)
+    emit_region_map(3, 0.0, 64)
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("d,inv_alpha,message", [(0, 0.0, "dimension must be >= 1"), (3, 1.5, "inv_alpha must lie in [0,1]")])
+def test_region_map_validates_slice(d, inv_alpha, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit_region_map(d, inv_alpha, 16)
