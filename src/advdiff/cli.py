@@ -27,12 +27,13 @@ import scipy
 from . import __version__
 from .commutators import CommutatorStudyConfig, convergence_study
 from .fieldio import field_bytes
-from .grid import ScalarField, TorusGrid, wrapped_displacement
+from .grid import ScalarField, TorusGrid, wrapped_radius_sq
 from .library import (
     FieldSpec,
     catalog_entries,
     estimate_integrability,
     integrability_card,
+    refinement_grids,
 )
 from .mollify import Mollifier, check_resolvable, dyadic_schedule
 from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
@@ -153,10 +154,7 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
             raise SchemaError(f"{context}: center must have {grid.dim} entries")
         if not width > 0.0:
             raise SchemaError(f"{context}.width: must be positive, got {width}")
-        disp = wrapped_displacement(grid.coordinate_mesh(), [float(c) for c in center])
-        r_sq = np.zeros(grid.shape)
-        for w in disp:
-            r_sq = r_sq + np.broadcast_to(w, grid.shape) ** 2
+        r_sq = wrapped_radius_sq(grid, [float(c) for c in center])
         return ScalarField(grid, amplitude * np.exp(-r_sq / (2.0 * width**2)))
     if kind == "random_bandlimited":
         max_mode = _take(block, "max_mode", int, default=4, context=context)
@@ -445,7 +443,10 @@ def run_field_audit(cfg: dict, seed: int | None, threads: int):
     field = _parse_field(_take(cfg, "field", dict))
     dim = _take(cfg, "dim", int, default=2)
     p_values = [float(p) for p in _take_list(cfg, "p_values", _NUMBER)]
+    if not p_values or min(p_values) < 1.0:
+        raise SchemaError(f"config.p_values: need at least one p, each >= 1, got {p_values}")
     resolutions = _take_list(cfg, "resolutions", int)
+    refinement_grids(resolutions, dim)
 
     def compute():
         card = integrability_card(field)
@@ -511,11 +512,9 @@ def _fields_list_text() -> str:
     header = f"{'name':20s} {'time':5s} {'p_finite_below':22s} {'alpha_time':12s} description"
     lines = [header, "-" * len(header)]
     for row in rows:
+        p_col = "inf" if math.isinf(row["p_finite_below"]) else f"{row['p_finite_below']:g}"
         if row["name"] == "power_singularity":
-            a = row["defaults"]["exponent"]
-            p_col = f"2/(a-1) = {2.0 / (a - 1.0):g}"
-        else:
-            p_col = "inf" if math.isinf(row["p_finite_below"]) else f"{row['p_finite_below']:g}"
+            p_col = f"2/(a-1) = {p_col}"
         alpha_col = "inf" if math.isinf(row["alpha_time"]) else f"1/beta = {row['alpha_time']:g}"
         time_col = "yes" if row["time_dependent"] else "no"
         lines.append(f"{row['name']:20s} {time_col:5s} {p_col:22s} {alpha_col:12s} {row['description']}")

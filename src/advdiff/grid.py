@@ -15,6 +15,7 @@ __all__ = [
     "lp_norm",
     "h_norm",
     "wrapped_displacement",
+    "wrapped_radius_sq",
 ]
 
 
@@ -181,6 +182,14 @@ class VectorField:
 def wrapped_displacement(coords, center) -> list[np.ndarray]:
     """Per-axis displacement coords - center wrapped to [-1/2, 1/2)."""
     return [np.mod(c - ci + 0.5, 1.0) - 0.5 for c, ci in zip(coords, center)]
+
+
+def wrapped_radius_sq(grid: TorusGrid, center) -> np.ndarray:
+    """Squared geodesic distance from ``center`` at every grid point."""
+    out = np.zeros(grid.shape)
+    for w in wrapped_displacement(grid.coordinate_mesh(), center):
+        out = out + w * w
+    return out
 
 
 def lp_from_values(values: np.ndarray, p: float, cell_volume: float) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "instantiate",
     "sample_key",
     "integrability_card",
+    "refinement_grids",
     "estimate_integrability",
     "estimate_time_integrability",
     "catalog_entries",
@@ -325,8 +326,11 @@ def sample_key(spec: FieldSpec, t: float) -> int | float | None:
     return _switch_parity(spec, t)
 
 
-def _fit_trend(log_n: np.ndarray, log_integral: np.ndarray, samples) -> TrendReport:
-    slope = float(np.polyfit(log_n, log_integral, 1)[0])
+def _fit_trend(samples) -> TrendReport:
+    """Classify the slope of log(integral) against log(x) over the (x, integral) samples."""
+    log_x = np.log([x for x, _ in samples])
+    log_integral = np.log([max(integral, 1e-300) for _, integral in samples])
+    slope = float(np.polyfit(log_x, log_integral, 1)[0])
     if slope < CONVERGING_SLOPE:
         verdict = "converging"
     elif slope > DIVERGING_SLOPE:
@@ -334,6 +338,16 @@ def _fit_trend(log_n: np.ndarray, log_integral: np.ndarray, samples) -> TrendRep
     else:
         verdict = "inconclusive"
     return TrendReport(verdict=verdict, slope=slope, samples=tuple(samples))
+
+
+def refinement_grids(resolutions, dim: int) -> tuple[TorusGrid, ...]:
+    """The grids of a refinement trend: at least 3 strictly increasing sizes, each a valid ``TorusGrid(dim, n)``."""
+    resolutions = [int(n) for n in resolutions]
+    if len(resolutions) < 3:
+        raise ValueError("need at least 3 resolutions to fit a trend")
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError(f"resolutions must be strictly increasing, got {resolutions}")
+    return tuple(TorusGrid(dim, n) for n in resolutions)
 
 
 def estimate_integrability(
@@ -348,19 +362,14 @@ def estimate_integrability(
     Fits log(integral) vs log(N); a flat fit means the quadrature converges
     and b is p-integrable, sustained growth means it diverges.
     """
-    resolutions = tuple(int(n) for n in resolutions)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions to fit a trend")
+    grids = refinement_grids(resolutions, dim)
     if t is None:
         t = 0.5 * spec.param("period") if spec.time_dependent else 0.0
     samples = []
-    for n in resolutions:
-        field = instantiate(spec, TorusGrid(dim, n), t)
-        integral = lp_norm(field.magnitude(), p) ** p
-        samples.append((float(n), integral))
-    log_n = np.log([s[0] for s in samples])
-    log_i = np.log([max(s[1], 1e-300) for s in samples])
-    return _fit_trend(log_n, log_i, samples)
+    for grid in grids:
+        integral = lp_norm(instantiate(spec, grid, t).magnitude(), p) ** p
+        samples.append((float(grid.points_per_axis), integral))
+    return _fit_trend(samples)
 
 
 def estimate_time_integrability(
@@ -385,9 +394,7 @@ def estimate_time_integrability(
         norms = np.array([lp_norm(instantiate(spec, grid, float(s)).magnitude(), 2.0) for s in nodes])
         integral = float(np.trapezoid(norms**alpha, nodes))
         samples.append((1.0 / t_min, integral))
-    log_x = np.log([s[0] for s in samples])
-    log_i = np.log([max(s[1], 1e-300) for s in samples])
-    return _fit_trend(log_x, log_i, samples)
+    return _fit_trend(samples)
 
 
 def catalog_entries() -> tuple[dict, ...]:

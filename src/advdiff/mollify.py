@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, VectorField, wrapped_displacement
+from .grid import ScalarField, TorusGrid, VectorField, wrapped_radius_sq
 from .spectral import spectral_core
 
 __all__ = [
@@ -72,14 +72,6 @@ def check_resolvable(m: Mollifier, grid: TorusGrid) -> None:
         )
 
 
-def _radius_sq(grid: TorusGrid) -> np.ndarray:
-    disp = wrapped_displacement(grid.coordinate_mesh(), [0.0] * grid.dim)
-    out = np.zeros(grid.shape)
-    for w in disp:
-        out = out + w * w
-    return out
-
-
 def _sample_kernel(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     if m.profile == GAUSSIAN_PERIODIZED:
         sigma = m.delta / 3.0
@@ -94,7 +86,7 @@ def _sample_kernel(m: Mollifier, grid: TorusGrid) -> np.ndarray:
             prod = prod * a
         return prod
     # compact bump exp(-1/(1 - (r/delta)^2)) inside geodesic radius delta
-    t_sq = _radius_sq(grid) / (m.delta * m.delta)
+    t_sq = wrapped_radius_sq(grid, [0.0] * grid.dim) / (m.delta * m.delta)
     vals = np.zeros(grid.shape)
     inside = t_sq < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - t_sq[inside]))

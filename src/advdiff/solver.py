@@ -32,6 +32,7 @@ __all__ = [
     "HALF_SQUARE",
     "ARCTAN_PRIMITIVE",
     "REGISTERED_BETAS",
+    "LQ_EXPONENTS",
     "TestFunction",
     "solve",
     "lq_dissipation_check",
@@ -235,15 +236,6 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     u_hat = np.where(keep, u_hat, 0.0)
 
     spacing = grid.spacing
-    max_b0 = sampler.max_abs(0.0)
-    if config.dt is not None:
-        dt_target = config.dt
-    else:
-        dt_target = config.cfl_safety * spacing / max_b0 if max_b0 > 0.0 else config.t_final
-        if config.diffusion == "explicit":
-            dt_target = min(dt_target, config.cfl_safety * spacing**2)
-    n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
-    dt = config.t_final / n_steps
 
     def _cfl_limit(t: float) -> float:
         mb = sampler.max_abs(t)
@@ -252,6 +244,10 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         if config.diffusion == "explicit":
             limit = min(limit, sigma * spacing**2)
         return limit
+
+    dt_target = config.dt if config.dt is not None else min(_cfl_limit(0.0), config.t_final)
+    n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
+    dt = config.t_final / n_steps
 
     # Integrating factors; with explicit diffusion the factors collapse to 1
     # and the Laplacian moves into the stage right-hand side.

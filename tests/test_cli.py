@@ -354,6 +354,14 @@ BAD_CONFIGS = {
         audit_config(resolutions=[True, 64, 128, 256]),
         "config.resolutions[0]: expected int, got bool",
     ),
+    "resolutions_repeated": (["fields", "audit"], audit_config(resolutions=[32, 32, 32]), "resolutions must be strictly increasing"),
+    "resolutions_not_power_of_two": (
+        ["fields", "audit"],
+        audit_config(resolutions=[16, 32, 100]),
+        "points_per_axis must be a power of two >= 4, got 100",
+    ),
+    "p_values_empty": (["fields", "audit"], audit_config(p_values=[]), "config.p_values: need at least one p, each >= 1"),
+    "p_values_below_one": (["fields", "audit"], audit_config(p_values=[0.5]), "config.p_values: need at least one p, each >= 1"),
     "amplitude_nan": (["simulate"], small_simulate_config({"kind": "sine", "mode": [0, 1], "amplitude": NAN}), "must be finite"),
     "width_nan": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": NAN}), "initial_datum.width: must be finite"),
     "width_zero": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": 0}), "initial_datum.width: must be positive"),
@@ -404,6 +412,13 @@ class TestConfigValidation:
         assert err.startswith("config error:") and "Traceback" not in err
         assert fragment in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["resolutions_repeated", "resolutions_not_power_of_two", "p_values_empty", "p_values_below_one"])
+    def test_bad_audit_refused_before_compute(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr("advdiff.cli.estimate_integrability", lambda *a, **k: pytest.fail("audit computed a trend"))
+        command, cfg, _ = BAD_CONFIGS[case]
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
     def test_regime_alpha_still_accepts_infinity(self, tmp_path):
         cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 3, "alpha": float("inf"), "resolution": 16})

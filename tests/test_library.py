@@ -191,6 +191,10 @@ class TestEstimateIntegrability:
         with pytest.raises(ValueError, match="3 resolutions"):
             estimate_integrability(FieldSpec("shear"), 2.0, (32, 64))
 
+    def test_needs_increasing_resolutions(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            estimate_integrability(FieldSpec("shear"), 2.0, (32, 32, 64))
+
     def test_shear_converges_any_p(self):
         for p in (1.0, 4.0, 10.0):
             report = estimate_integrability(FieldSpec("shear"), p, (32, 64, 128))
