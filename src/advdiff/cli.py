@@ -31,6 +31,7 @@ from .grid import ScalarField, TorusGrid, wrapped_radius_sq
 from .library import (
     FieldSpec,
     catalog_entries,
+    check_dim,
     estimate_integrability,
     integrability_card,
     refinement_grids,
@@ -109,7 +110,8 @@ def _parse_grid(block, context="grid") -> TorusGrid:
     return TorusGrid(dim, n)
 
 
-def _parse_field(block, context="field") -> FieldSpec | None:
+def _parse_field(block, dim: int, context="field") -> FieldSpec | None:
+    """The catalog field of ``block`` (None stays None), checked for a ``dim``-dimensional grid."""
     if block is None:
         return None
     block = dict(block)
@@ -118,7 +120,9 @@ def _parse_field(block, context="field") -> FieldSpec | None:
     _done(block, context)
     for key, value in params.items():
         _check(value, _NUMBER, f"{context}.params.{key}")
-    return FieldSpec(name, params)
+    spec = FieldSpec(name, params)
+    check_dim(spec, dim)
+    return spec
 
 
 def _rng(cfg: dict, seed: int | None) -> np.random.Generator:
@@ -179,7 +183,6 @@ def _parse_solver(block, grid: TorusGrid, context="solver") -> SolverConfig:
     kwargs = {
         "t_final": float(_take(block, "t_final", _NUMBER, context=context)),
         "rk_order": _take(block, "rk_order", int, default=4, context=context),
-        "diffusion": _take(block, "diffusion", str, default="integrating_factor", context=context),
         "mollifier_profile": _take(block, "mollifier_profile", str, default="gaussian_periodized", context=context),
         "no_approximation": _take(block, "no_approximation", bool, default=False, context=context),
         "record_every": _take(block, "record_every", int, default=1, context=context),
@@ -326,21 +329,22 @@ def _simulate_gates(traj: Trajectory, tol: dict[str, float]) -> dict[str, bool]:
     return gates
 
 
-def _heat_kernel_error(datum: dict, field, u0: ScalarField, traj: Trajectory) -> float | None:
+def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
     """Pointwise error against the exact heat kernel, for pure-diffusion
-    single-mode runs where the integrating factor is exact."""
+    single-mode runs where the integrating factor is exact.  The reference is
+    the solver's own initial state, so a mollified datum is compared with itself."""
     if field is not None or datum.get("kind") != "sine":
         return None
     k_sq = float(sum(float(k) ** 2 for k in datum["mode"]))
     decay = math.exp(-4.0 * math.pi**2 * k_sq * traj.t_final)
-    exact = decay * u0.values
+    exact = decay * traj.states[0].values
     return float(np.max(np.abs(traj.final_state.values - exact)))
 
 
 def run_simulate(cfg: dict, seed: int | None, threads: int):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
     grid = _parse_grid(_take(cfg, "grid", dict))
-    field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None))
+    field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None), grid.dim)
     datum = _take(cfg, "initial_datum", dict)
     u0 = _parse_scalar_datum(datum, grid, _rng(cfg, seed))
     solver_cfg = _parse_solver(_take(cfg, "solver", dict), grid)
@@ -354,7 +358,7 @@ def run_simulate(cfg: dict, seed: int | None, threads: int):
         traj = solve(field, u0, solver_cfg)
         gates = _simulate_gates(traj, tol)
         metrics = {}
-        heat_error = _heat_kernel_error(datum, field, u0, traj)
+        heat_error = _heat_kernel_error(datum, field, traj)
         if heat_error is not None:
             gates["heat_kernel_exact"] = heat_error <= 1e-10
             metrics["heat_kernel_error"] = heat_error
@@ -377,7 +381,7 @@ def run_simulate(cfg: dict, seed: int | None, threads: int):
 def run_commutator(cfg: dict, seed: int | None, threads: int):
     """``commutator``: the kernel-scale decay study of the commutator norm."""
     grid = _parse_grid(_take(cfg, "grid", dict))
-    field = _parse_field(_take(cfg, "field", dict))
+    field = _parse_field(_take(cfg, "field", dict), grid.dim)
     w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg, seed), context="w")
     study = dict(_take(cfg, "study", dict))
     delta0 = float(_take(study, "delta0", _NUMBER, context="study"))
@@ -440,11 +444,13 @@ def run_regime_map(cfg: dict, seed: int | None, threads: int):
 
 def run_field_audit(cfg: dict, seed: int | None, threads: int):
     """``fields audit``: gate quadrature trends of the integral of |b|^p against the card."""
-    field = _parse_field(_take(cfg, "field", dict))
     dim = _take(cfg, "dim", int, default=2)
+    field = _parse_field(_take(cfg, "field", dict), dim)
     p_values = [float(p) for p in _take_list(cfg, "p_values", _NUMBER)]
     if not p_values or min(p_values) < 1.0:
         raise SchemaError(f"config.p_values: need at least one p, each >= 1, got {p_values}")
+    if len({f"{p:g}" for p in p_values}) < len(p_values):  # one gate per p, named by p:g
+        raise SchemaError(f"config.p_values: repeated p (to 6 significant digits) in {p_values}")
     resolutions = _take_list(cfg, "resolutions", int)
     refinement_grids(resolutions, dim)
 
@@ -466,12 +472,11 @@ def run_field_audit(cfg: dict, seed: int | None, threads: int):
 
 
 # Config-run commands: (config kind, default output directory, runner).
-# ``run_config`` looks the runner up by its module-global name at call time.
 _RUNS = {
-    "simulate": ("simulate", "run", "run_simulate"),
-    "commutator": ("commutator", "commutator_run", "run_commutator"),
-    "regime map": ("regime-map", "regime_map", "run_regime_map"),
-    "fields audit": ("field-audit", "field_audit", "run_field_audit"),
+    "simulate": ("simulate", "run", run_simulate),
+    "commutator": ("commutator", "commutator_run", run_commutator),
+    "regime map": ("regime-map", "regime_map", run_regime_map),
+    "fields audit": ("field-audit", "field_audit", run_field_audit),
 }
 
 
@@ -490,7 +495,7 @@ def run_config(
     cfg.pop("kind")
     out_cfg = _take(cfg, "output_dir", str, default=None)
     out_dir = Path(out or out_cfg or default_out)
-    grid, tolerances, compute = globals()[runner](cfg, seed, threads)
+    grid, tolerances, compute = runner(cfg, seed, threads)
     _done(cfg, "config")
     _check_target(out_dir)
 

@@ -23,6 +23,7 @@ __all__ = [
     "FieldSpec",
     "IntegrabilityCard",
     "TrendReport",
+    "check_dim",
     "instantiate",
     "sample_key",
     "integrability_card",
@@ -173,11 +174,6 @@ def _planar_geometry(grid: TorusGrid):
     return w1, w2, r
 
 
-def _require_planar(grid: TorusGrid, name: str) -> None:
-    if grid.dim < 2:
-        raise ValueError(f"field {name!r} requires dim >= 2")
-
-
 def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     comps = [np.full(grid.shape, spec.param(f"c{i + 1}")) for i in range(grid.dim)]
     return VectorField.from_arrays(grid, comps, divergence_free=True)
@@ -196,13 +192,11 @@ def _shear_arrays(grid: TorusGrid, amplitude: float, cells: float, horizontal: b
 
 
 def _build_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    _require_planar(grid, spec.name)
     comps = _shear_arrays(grid, spec.param("amplitude"), spec.param("cells"), horizontal=True)
     return VectorField.from_arrays(grid, comps, divergence_free=True)
 
 
 def _build_taylor_green(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    _require_planar(grid, spec.name)
     a = spec.param("amplitude")
     coords = grid.coordinate_mesh()
     x1, x2 = coords[0], coords[1]
@@ -216,7 +210,6 @@ def _build_taylor_green(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorFie
 
 
 def _build_rotation_bump(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    _require_planar(grid, spec.name)
     radius = spec.param("radius")
     _, _, r = _planar_geometry(grid)
     t_sq = (r / radius) ** 2
@@ -227,7 +220,6 @@ def _build_rotation_bump(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorFi
 
 
 def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    _require_planar(grid, spec.name)
     a = spec.param("exponent")
     amp = spec.param("amplitude")
     r2 = spec.param("cutoff_radius")
@@ -277,7 +269,6 @@ def _switch_parity(spec: FieldSpec, t: float) -> int:
 
 
 def _build_alternating_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    _require_planar(grid, spec.name)
     beta = spec.param("modulation_exponent")
     if beta > 0.0 and t <= 0.0:
         raise ValueError("alternating_shear with modulation_exponent > 0 is singular at t = 0")
@@ -297,6 +288,12 @@ _BUILDERS = {
 }
 
 
+def check_dim(spec: FieldSpec, dim: int) -> None:
+    """Refuse a planar entry (every one but ``constant``) in fewer than two dimensions."""
+    if dim < 2 and spec.name != "constant":
+        raise ValueError(f"field {spec.name!r} requires dim >= 2")
+
+
 def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField:
     """Sample the catalog field on the grid at time t and certify its divergence.
 
@@ -304,6 +301,7 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
     projected onto the discretely divergence-free fields; what the
     projection changed is recorded in the field's notes.
     """
+    check_dim(spec, grid.dim)
     field = _BUILDERS[spec.name](spec, grid, t)
     defect = divergence_defect(field)
     if defect > DIVERGENCE_GATE:
@@ -350,21 +348,15 @@ def refinement_grids(resolutions, dim: int) -> tuple[TorusGrid, ...]:
     return tuple(TorusGrid(dim, n) for n in resolutions)
 
 
-def estimate_integrability(
-    spec: FieldSpec,
-    p: float,
-    resolutions,
-    dim: int = 2,
-    t: float | None = None,
-) -> TrendReport:
+def estimate_integrability(spec: FieldSpec, p: float, resolutions, dim: int = 2) -> TrendReport:
     """Classify the quadrature trend of the integral of |b|^p under grid refinement.
 
     Fits log(integral) vs log(N); a flat fit means the quadrature converges
-    and b is p-integrable, sustained growth means it diverges.
+    and b is p-integrable, sustained growth means it diverges.  A switching
+    field is sampled mid-way through its first period.
     """
     grids = refinement_grids(resolutions, dim)
-    if t is None:
-        t = 0.5 * spec.param("period") if spec.time_dependent else 0.0
+    t = 0.5 * spec.param("period") if spec.time_dependent else 0.0
     samples = []
     for grid in grids:
         integral = lp_norm(instantiate(spec, grid, t).magnitude(), p) ** p

@@ -65,19 +65,14 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class ConvexFunction:
-    """Convex scalar function with evaluable derivative, vectorized over arrays."""
+    """Convex scalar function, vectorized over arrays."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
 
 
-HALF_SQUARE = ConvexFunction("half_square", lambda s: 0.5 * s * s, lambda s: s)
-ARCTAN_PRIMITIVE = ConvexFunction(
-    "arctan",
-    lambda s: s * np.arctan(s) - 0.5 * np.log1p(s * s),
-    np.arctan,
-)
+HALF_SQUARE = ConvexFunction("half_square", lambda s: 0.5 * s * s)
+ARCTAN_PRIMITIVE = ConvexFunction("arctan", lambda s: s * np.arctan(s) - 0.5 * np.log1p(s * s))
 REGISTERED_BETAS = (HALF_SQUARE, ARCTAN_PRIMITIVE)
 
 
@@ -108,7 +103,6 @@ class SolverConfig:
     dt: float | None = None
     cfl_safety: float | None = None
     rk_order: int = 4
-    diffusion: str = "integrating_factor"  # "explicit" adds the parabolic CFL bound
     mollify_b: float | None = None
     mollify_u0: float | None = None
     mollifier_profile: str = "gaussian_periodized"
@@ -126,8 +120,6 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.rk_order not in (3, 4):
             raise ValueError("rk_order must be 3 or 4")
-        if self.diffusion not in ("integrating_factor", "explicit"):
-            raise ValueError("diffusion must be 'integrating_factor' or 'explicit'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         check_profile(self.mollifier_profile)
@@ -240,37 +232,28 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     def _cfl_limit(t: float) -> float:
         mb = sampler.max_abs(t)
         sigma = config.cfl_safety if config.cfl_safety is not None else 1.0
-        limit = sigma * spacing / mb if mb > 0.0 else math.inf
-        if config.diffusion == "explicit":
-            limit = min(limit, sigma * spacing**2)
-        return limit
+        return sigma * spacing / mb if mb > 0.0 else math.inf
 
     dt_target = config.dt if config.dt is not None else min(_cfl_limit(0.0), config.t_final)
     n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
     dt = config.t_final / n_steps
 
-    # Integrating factors; with explicit diffusion the factors collapse to 1
-    # and the Laplacian moves into the stage right-hand side.
+    # Integrating factors: the exact heat flow over a full and a half step.
     lam = -4.0 * np.pi**2 * core.ksq
-    if config.diffusion == "integrating_factor":
-        e_full = np.exp(lam * dt)
-        e_half = np.exp(lam * 0.5 * dt)
-    else:
-        e_full = e_half = np.ones(core.shape)
+    e_full = np.exp(lam * dt)
+    e_half = np.exp(lam * 0.5 * dt)
 
     def rhs(v_hat: np.ndarray, t: float, v_real: np.ndarray | None = None) -> np.ndarray:
-        """Advection (and explicit diffusion) term; ``v_real`` is v_hat on the grid if already known."""
+        """Advection term -div(b v); ``v_real`` is v_hat on the grid if already known."""
         b_t = sampler.field(t)
         out = np.zeros(core.shape, dtype=np.complex128)
-        if b_t is not None:
-            if v_real is None:
-                v_real = core.inverse(v_hat)
-            for ikj, bj in zip(core.ik, b_t.components):
-                out -= ikj * core.forward(bj.values * v_real)
-            out = np.where(keep, out, 0.0)
-        if config.diffusion == "explicit":
-            out = out + lam * v_hat
-        return out
+        if b_t is None:
+            return out
+        if v_real is None:
+            v_real = core.inverse(v_hat)
+        for ikj, bj in zip(core.ik, b_t.components):
+            out -= ikj * core.forward(bj.values * v_real)
+        return np.where(keep, out, 0.0)
 
     betas = {bf.name: bf for bf in REGISTERED_BETAS}
     t_series: list[float] = []

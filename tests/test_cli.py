@@ -73,6 +73,20 @@ class TestSimulateCommand:
         assert manifest["gates"]["heat_kernel_exact"] is True
         assert manifest["metrics"]["heat_kernel_error"] <= 1e-10
 
+    def test_mollified_pure_diffusion_passes_heat_kernel_gate(self, tmp_path):
+        # The gate compares with the mollified datum the solver evolved, not the raw one.
+        cfg = simulate_config(
+            field=None,
+            initial_datum={"kind": "sine", "mode": [1, 2]},
+            solver={"t_final": 0.02, "dt": 0.0005, "record_every": 10, "mollify_u0": 0.1},
+        )
+        cfg_path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "heat"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["all_gates_pass"] is True
+        assert manifest["metrics"]["heat_kernel_error"] <= 1e-10
+
     def test_deterministic_output_bytes(self, tmp_path):
         cfg = simulate_config(initial_datum={"kind": "random_bandlimited", "max_mode": 3, "amplitude": 1.0})
         cfg_path = write_config(tmp_path, "sim.json", cfg)
@@ -362,6 +376,22 @@ BAD_CONFIGS = {
     ),
     "p_values_empty": (["fields", "audit"], audit_config(p_values=[]), "config.p_values: need at least one p, each >= 1"),
     "p_values_below_one": (["fields", "audit"], audit_config(p_values=[0.5]), "config.p_values: need at least one p, each >= 1"),
+    "p_values_repeated": (["fields", "audit"], audit_config(p_values=[3.0, 3.0]), "config.p_values: repeated p"),
+    "audit_dim_one": (["fields", "audit"], audit_config(dim=1), "field 'power_singularity' requires dim >= 2"),
+    "simulate_dim_one": (
+        ["simulate"],
+        dict(
+            small_simulate_config({"kind": "sine", "mode": [1]}),
+            grid={"dim": 1, "points_per_axis": 16},
+            field={"name": "shear"},
+        ),
+        "field 'shear' requires dim >= 2",
+    ),
+    "commutator_dim_one": (
+        ["commutator"],
+        dict(small_commutator_config(), grid={"dim": 1, "points_per_axis": 16}),
+        "field 'power_singularity' requires dim >= 2",
+    ),
     "amplitude_nan": (["simulate"], small_simulate_config({"kind": "sine", "mode": [0, 1], "amplitude": NAN}), "must be finite"),
     "width_nan": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": NAN}), "initial_datum.width: must be finite"),
     "width_zero": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": 0}), "initial_datum.width: must be positive"),
@@ -384,6 +414,11 @@ BAD_CONFIGS = {
         ["simulate"],
         small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "dealias": False}),
         "solver: unknown keys ['dealias']",
+    ),
+    "diffusion_key": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "diffusion": "explicit"}),
+        "solver: unknown keys ['diffusion']",
     ),
     "profile_bogus_simulate": (
         ["simulate"],
@@ -413,9 +448,19 @@ class TestConfigValidation:
         assert fragment in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["resolutions_repeated", "resolutions_not_power_of_two", "p_values_empty", "p_values_below_one"])
+    @pytest.mark.parametrize(
+        "case", ["resolutions_repeated", "resolutions_not_power_of_two", "p_values_empty", "p_values_below_one", "p_values_repeated"]
+    )
     def test_bad_audit_refused_before_compute(self, tmp_path, monkeypatch, case):
         monkeypatch.setattr("advdiff.cli.estimate_integrability", lambda *a, **k: pytest.fail("audit computed a trend"))
+        command, cfg, _ = BAD_CONFIGS[case]
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("case", ["audit_dim_one", "simulate_dim_one", "commutator_dim_one"])
+    def test_planar_field_on_dim_one_refused_before_compute(self, tmp_path, monkeypatch, case):
+        for name in ("solve", "estimate_integrability", "convergence_study"):
+            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the dim check"))
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
