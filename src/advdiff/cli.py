@@ -471,6 +471,11 @@ def run_field_audit(cfg: dict, seed: int | None, threads: int):
     return None, {}, compute
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise SchemaError(f"threads must be >= 1, got {threads}")
+
+
 # Config-run commands: (config kind, default output directory, runner).
 _RUNS = {
     "simulate": ("simulate", "run", run_simulate),
@@ -489,6 +494,7 @@ def run_config(
     ``ValueError``, a numerical abort ``SolverAbort`` and an I/O failure
     ``OSError``; nothing is published then.
     """
+    _check_threads(threads)
     kind, default_out, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
     cfg = dict(raw)
@@ -567,15 +573,19 @@ def _regime_map_flags(args) -> int:
     """``regime map --d … --out fig.svg``: the SVG at ``--out``, the CSV next to it, no manifest."""
     if args.d is None or args.out is None:
         raise SchemaError("regime map needs either --config or both --d and --out")
+    _check_threads(args.threads)
+    svg_path = Path(args.out)
+    csv_path = svg_path.with_suffix(".csv")
+    if csv_path == svg_path:
+        raise SchemaError(f"--out {svg_path}: the CSV goes next to the SVG with a .csv suffix, so --out must not have one")
     flags = {"d": args.d, "alpha": args.alpha, "resolution": args.resolution}
     _, _, compute = run_regime_map(flags, args.seed, args.threads)
     _, _, render = compute()
     files = render()
-    svg_path = Path(args.out)
     svg_path.parent.mkdir(parents=True, exist_ok=True)
     svg_path.write_text(files["map.svg"])
-    svg_path.with_suffix(".csv").write_text(files["map.csv"])
-    print(f"wrote {svg_path} and {svg_path.with_suffix('.csv')}")
+    csv_path.write_text(files["map.csv"])
+    print(f"wrote {svg_path} and {csv_path}")
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
-"""Field serialization: a flat binary container plus a lossy CSV export.
+"""Field serialization: a flat binary container.
 
-Layout of the binary format: a 32-byte header (magic "TORF", then uint32
-version, dim and N, all little-endian, zero-padded to 32 bytes) followed by
-the samples as little-endian float64 in row-major order, axes x1..xd.
+Layout: a 32-byte header (magic "TORF", then uint32 version, dim and N, all
+little-endian, zero-padded to 32 bytes) followed by the samples as
+little-endian float64 in row-major order, axes x1..xd.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import ScalarField, TorusGrid
 
-__all__ = ["MAGIC", "VERSION", "field_bytes", "write_field", "read_field", "export_csv"]
+__all__ = ["MAGIC", "VERSION", "field_bytes", "read_field"]
 
 MAGIC = b"TORF"
 VERSION = 1
@@ -24,10 +24,6 @@ _HEADER = struct.Struct("<4sIII16x")
 def field_bytes(f: ScalarField) -> bytes:
     header = _HEADER.pack(MAGIC, VERSION, f.grid.dim, f.grid.points_per_axis)
     return header + np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-
-
-def write_field(f: ScalarField, path) -> None:
-    Path(path).write_bytes(field_bytes(f))
 
 
 def read_field(path) -> ScalarField:
@@ -45,17 +41,8 @@ def read_field(path) -> ScalarField:
         raw = fh.read(8 * grid.size)
         if len(raw) != 8 * grid.size:
             raise ValueError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing data")
     values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
     return ScalarField(grid, values.astype(np.float64))
 
-
-def export_csv(f: ScalarField, path) -> None:
-    """Plot-friendly table x1,..,xd,value at reduced (%.8g) precision."""
-    grid = f.grid
-    coords = np.meshgrid(*([grid.axis_coordinates()] * grid.dim), indexing="ij")
-    header = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",value"
-    columns = [c.ravel() for c in coords] + [f.values.ravel()]
-    with open(Path(path), "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.8g}" for v in row) + "\n")

@@ -20,7 +20,6 @@ __all__ = [
     "UnderResolvedKernelError",
     "check_profile",
     "check_resolvable",
-    "kernel_field",
     "kernel_multiplier",
     "mollify",
     "dyadic_schedule",
@@ -119,14 +118,6 @@ def kernel_multiplier(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     mult[(0,) * grid.dim] = 1.0
     mult.flags.writeable = False
     return mult
-
-
-def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
-    """rho^delta sampled on the grid, renormalized to unit discrete mass.
-
-    Raises UnderResolvedKernelError when delta is below the resolvable floor.
-    """
-    return ScalarField(grid, _kernel_values(m, grid))
 
 
 def _mollify_scalar(f: ScalarField, m: Mollifier) -> ScalarField:

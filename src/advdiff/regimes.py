@@ -30,8 +30,6 @@ __all__ = [
     "region_map_svg",
     "STATEMENTS",
     "FLAG_NAMES",
-    "NONUNIQUENESS_TAGS",
-    "OPEN_QUESTIONS",
 ]
 
 FLAG_NAMES = (
@@ -41,8 +39,6 @@ FLAG_NAMES = (
     "parabolic_unique",
     "all_distributional_parabolic",
 )
-NONUNIQUENESS_TAGS = ("CIH1", "DISTR", "P2Q2")
-OPEN_QUESTIONS = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
 
 # Statement registry: stable ids with formula-level anchors.  These strings
 # are snapshot-tested; change them only deliberately.

@@ -35,7 +35,6 @@ __all__ = [
     "LQ_EXPONENTS",
     "TestFunction",
     "solve",
-    "lq_dissipation_check",
     "beta_dissipation",
     "weak_residual",
 ]
@@ -334,15 +333,6 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
         diagnostics=tuple(records),
         dt=dt,
     )
-
-
-def lq_dissipation_check(traj: Trajectory, q: float) -> float:
-    """Worst increase of ||u(t)||_q across successive records (negative = monotone)."""
-    q = float(q)
-    if q not in LQ_EXPONENTS:
-        raise ValueError(f"q must be one of {LQ_EXPONENTS}")
-    series = [rec.lq_norms[q] for rec in traj.diagnostics]
-    return max(b - a for a, b in zip(series, series[1:]))
 
 
 def beta_dissipation(traj: Trajectory, beta) -> float:

@@ -20,6 +20,10 @@ no part shared between the cells of a row, and builds a fresh report each
 time.  The region-map forms at the end format every cell of a ``RegionMap``
 from scratch: label, flag string and coordinates, once for the CSV and once
 for the SVG.  They read only the public fields of each report.
+
+Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
+package's cached kernel samples as a field, and ``lq_dissipation_check``
+reads the worst increase of an L^q norm off a trajectory's records.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig, CouplingRec
 from advdiff.commutators import commutator as package_commutator
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
 from advdiff.library import FieldSpec, instantiate
-from advdiff.mollify import Mollifier, kernel_field
+from advdiff.mollify import Mollifier, _kernel_values
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
-from advdiff.solver import Trajectory
+from advdiff.solver import LQ_EXPONENTS, Trajectory
 from advdiff.spectral import spectral_core
 
 
@@ -118,6 +122,14 @@ def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:
     return float(np.sqrt(np.sum(mult * np.abs(coeffs) ** 2)))
 
 
+def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
+    """The package's cached rho^delta samples, renormalized to unit discrete mass.
+
+    Raises UnderResolvedKernelError when delta is below the resolvable floor.
+    """
+    return ScalarField(grid, _kernel_values(m, grid))
+
+
 def mollify(values: np.ndarray, grid: TorusGrid, m: Mollifier) -> np.ndarray:
     mult = (np.fft.fftn(kernel_field(m, grid).values) / grid.size).real
     mult[(0,) * grid.dim] = 1.0
@@ -129,6 +141,15 @@ def grad_l2_sq(values: np.ndarray, grid: TorusGrid) -> float:
     ksq = sum(k * k for k in derivative_wavenumbers(grid))
     uh = np.fft.fftn(values)
     return float(np.sum(4.0 * np.pi**2 * ksq * np.abs(uh) ** 2)) / grid.size**2
+
+
+def lq_dissipation_check(traj: Trajectory, q: float) -> float:
+    """Worst increase of ||u(t)||_q across successive records (negative = monotone)."""
+    q = float(q)
+    if q not in LQ_EXPONENTS:
+        raise ValueError(f"q must be one of {LQ_EXPONENTS}")
+    series = [rec.lq_norms[q] for rec in traj.diagnostics]
+    return max(b - a for a, b in zip(series, series[1:]))
 
 
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> np.ndarray:

@@ -279,6 +279,12 @@ class TestRegimeCommand:
         assert err.startswith("config error: dimension must be >= 1") and "Traceback" not in err
         assert not svg.exists()
 
+    def test_map_flags_refuses_csv_out(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["regime", "map", "--d", "2", "--resolution", "16", "--out", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_map_requires_flags_or_config(self):
         assert main(["regime", "map", "--alpha", "inf"]) == EXIT_SCHEMA
 
@@ -464,6 +470,25 @@ class TestConfigValidation:
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "regime_map_flags", "fields_audit"])
+    def test_threads_below_one_refused_before_compute(self, tmp_path, monkeypatch, capsys, command, threads):
+        for name in ("solve", "convergence_study", "emit_region_map", "estimate_integrability"):
+            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the threads check"))
+        argv, cfg = {
+            "simulate": (["simulate"], small_simulate_config()),
+            "commutator": (["commutator"], small_commutator_config()),
+            "regime_map": (["regime", "map"], {"kind": "regime-map", "d": 2, "resolution": 16}),
+            "regime_map_flags": (["regime", "map", "--d", "2", "--resolution", "16"], None),
+            "fields_audit": (["fields", "audit"], audit_config()),
+        }[command]
+        if cfg is not None:
+            argv = [*argv, "--config", write_config(tmp_path, "cfg.json", cfg)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--threads", threads]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"config error: threads must be >= 1, got {threads}\n"
+        assert not out.exists()
 
     def test_regime_alpha_still_accepts_infinity(self, tmp_path):
         cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 3, "alpha": float("inf"), "resolution": 16})

@@ -12,12 +12,12 @@ from advdiff.mollify import (
     Mollifier,
     UnderResolvedKernelError,
     dyadic_schedule,
-    kernel_field,
     mollify,
 )
 from advdiff.spectral import divergence_defect, gradient
 
 from conftest import random_field
+from oracles import kernel_field
 
 PROFILES = (GAUSSIAN_PERIODIZED, BUMP_COMPACT)
 

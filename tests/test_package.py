@@ -1,4 +1,5 @@
-"""The package surface: each public name has one import path, its owner module's."""
+"""The package surface: each public name has one import path, its owner module's,
+and a caller in the package or its scripts."""
 
 import ast
 import importlib
@@ -62,3 +63,46 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"advdiff.{info.name}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], info.name
+
+
+# The public names nothing in src/ or scripts/ reads: library entry points,
+# each kept for the test it serves.  Any other unread ``__all__`` name is dead.
+LIBRARY_ONLY = {
+    "commutators.commutator_divform": "test_acceptance.py::test_criterion_07_divergence_form_identities",
+    "commutators.commutator_divb_correction": "test_acceptance.py::test_criterion_07_divergence_form_identities",
+    "commutators.mollified_energy_coupling": "test_acceptance.py::test_criterion_08_energy_commutator_coupling",
+    "solver.weak_residual": "test_solver.py::TestWeakResidual",
+    "library.estimate_time_integrability": "test_library.py::test_modulated_shear_alpha_beta_criterion",
+    "library.CATALOG": "test_library.py::test_catalog_listing",
+    "fieldio.read_field": "test_fieldio.py::test_roundtrip_exact",
+}
+
+
+def read_names(path: Path) -> set[str]:
+    """Every name ``path`` loads, imports or reads as an attribute.
+
+    The strings of an ``__all__`` list are not reads, so exporting a name
+    does not count as calling it.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    read = set().union(*(read_names(path) for path in SOURCES))
+    unread = set()
+    for info in pkgutil.iter_modules(advdiff.__path__):
+        module = importlib.import_module(f"advdiff.{info.name}")
+        unread |= {f"{info.name}.{name}" for name in module.__all__ if name not in read}
+    assert unread == set(LIBRARY_ONLY)
+    for served in LIBRARY_ONLY.values():
+        file, test = served.split("::")
+        defined = {n.name for n in ast.walk(ast.parse((ROOT / "tests" / file).read_text())) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert test in defined, served

@@ -13,12 +13,12 @@ from advdiff.solver import (
     SolverConfig,
     TestFunction,
     beta_dissipation,
-    lq_dissipation_check,
     solve,
     weak_residual,
 )
 
 from conftest import count_calls, count_transforms, random_field
+from oracles import lq_dissipation_check
 
 
 def sine_mode(grid, axis=0):
