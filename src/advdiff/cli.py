@@ -38,7 +38,7 @@ from .library import (
 )
 from .mollify import Mollifier, check_resolvable, dyadic_schedule
 from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
-from .solver import LQ_EXPONENTS, SolverAbort, SolverConfig, Trajectory, beta_dissipation, solve
+from .solver import LQ_COLUMNS, REGISTERED_BETAS, SolverAbort, SolverConfig, Trajectory, beta_dissipation, solve
 
 __all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
 
@@ -293,39 +293,22 @@ _DIAG_COLUMNS = ("t", "l1", "l2", "l4", "linf", "grad_l2_sq_cum", "energy_lhs", 
 
 
 def _diagnostics_csv(traj: Trajectory) -> str:
-    lines = [",".join(_DIAG_COLUMNS)]
-    for rec in traj.diagnostics:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rec.t,
-                    rec.lq_norms[1.0],
-                    rec.lq_norms[2.0],
-                    rec.lq_norms[4.0],
-                    rec.lq_norms[math.inf],
-                    rec.grad_l2_sq_cum,
-                    rec.energy_lhs,
-                    rec.mean,
-                    rec.beta_integrals["arctan"],
-                )
-            )
-        )
+    rows = zip(*(traj.diagnostics[name] for name in _DIAG_COLUMNS))
+    lines = [",".join(_DIAG_COLUMNS), *(",".join(map(_fmt, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
 def _simulate_gates(traj: Trajectory, tol: dict[str, float]) -> dict[str, bool]:
-    first = traj.diagnostics[0]
+    diag = traj.diagnostics
     gates: dict[str, bool] = {}
-    for q in LQ_EXPONENTS:
-        label = "inf" if math.isinf(q) else f"{q:g}"
-        sup = max(rec.lq_norms[q] for rec in traj.diagnostics)
-        gates[f"e1_l{label}"] = sup <= first.lq_norms[q] + tol["e1_slack"]
-    gates["e2_dissipation"] = traj.diagnostics[-1].grad_l2_sq_cum <= 0.5 * first.lq_norms[2.0] ** 2 + tol["e2_slack"]
-    for name in ("half_square", "arctan"):
-        gates[f"beta_{name}"] = beta_dissipation(traj, name) <= tol["beta_slack"] * max(first.beta_integrals[name], 1e-30)
-    drift = max(abs(rec.mean - first.mean) for rec in traj.diagnostics)
-    gates["mean_conserved"] = drift <= tol["mean_drift"] * max(1.0, abs(first.mean))
+    for name in LQ_COLUMNS:
+        gates[f"e1_{name}"] = diag[name].max() <= diag[name][0] + tol["e1_slack"]
+    gates["e2_dissipation"] = diag["grad_l2_sq_cum"][-1] <= 0.5 * diag["l2"][0] ** 2 + tol["e2_slack"]
+    for bf in REGISTERED_BETAS:
+        name = f"beta_{bf.name}"
+        gates[name] = beta_dissipation(traj, bf.name) <= tol["beta_slack"] * max(diag[name][0], 1e-30)
+    mean = diag["mean"]
+    gates["mean_conserved"] = np.abs(mean - mean[0]).max() <= tol["mean_drift"] * max(1.0, abs(mean[0]))
     return gates
 
 

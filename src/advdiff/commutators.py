@@ -74,7 +74,7 @@ class _Transport:
             out = out + bj.values * self.core.inverse(ikj * coeffs)
         return out
 
-    def commutator(self, mult: np.ndarray) -> ScalarField:
+    def remainder(self, mult: np.ndarray) -> ScalarField:
         """r^delta for the kernel whose multiplier is ``mult``."""
         first = self._dot_grad(mult * self.w_hat)
         r = first - self.core.inverse(mult * self.advected_hat)
@@ -84,7 +84,7 @@ class _Transport:
 
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
     """r^delta = b . grad(w * rho^delta) - (b . grad w) * rho^delta."""
-    return _Transport(b, w).commutator(kernel_multiplier(m, w.grid))
+    return _Transport(b, w).remainder(kernel_multiplier(m, w.grid))
 
 
 def commutator_divform(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
@@ -199,7 +199,7 @@ def _time_nodes(cfg: CommutatorStudyConfig):
 
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
     """One node's integrand of the space-time norm at one kernel level."""
-    r = transport.commutator(mult)
+    r = transport.remainder(mult)
     return lp_norm(r, 1.0) if norm == L1_SPACETIME else h_norm(r, -1) ** 2
 
 
@@ -231,6 +231,8 @@ def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStud
     ``threads`` fans out the levels within each node; every level sums its
     node terms in node order, so the norms do not depend on the thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cfg.validate_resolvable()
     cfg.validate_time_sampling()
     grid = cfg.grid
@@ -295,7 +297,7 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
             us_hat = mult * transport.w_hat
             us = core.inverse(us_hat)
             grad_sq[j].append(core.parseval_sum(us_hat, grad_sym) / size**2)
-            r = transport.commutator(mult)
+            r = transport.remainder(mult)
             pairing[j].append(float(np.sum(r.values * us)) * cell)
             if k in (0, last):
                 half_sq[j].append(0.5 * lp_from_values(us, 2.0, cell) ** 2)

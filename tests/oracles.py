@@ -42,7 +42,7 @@ from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import Mollifier, _kernel_values
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
-from advdiff.solver import LQ_EXPONENTS, Trajectory
+from advdiff.solver import LQ_COLUMNS, Trajectory
 from advdiff.spectral import spectral_core
 
 
@@ -145,10 +145,10 @@ def grad_l2_sq(values: np.ndarray, grid: TorusGrid) -> float:
 
 def lq_dissipation_check(traj: Trajectory, q: float) -> float:
     """Worst increase of ||u(t)||_q across successive records (negative = monotone)."""
-    q = float(q)
-    if q not in LQ_EXPONENTS:
-        raise ValueError(f"q must be one of {LQ_EXPONENTS}")
-    series = [rec.lq_norms[q] for rec in traj.diagnostics]
+    column = {exponent: name for name, exponent in LQ_COLUMNS.items()}.get(float(q))
+    if column is None:
+        raise ValueError(f"q must be one of {tuple(LQ_COLUMNS.values())}")
+    series = traj.diagnostics[column]
     return max(b - a for a, b in zip(series, series[1:]))
 
 

@@ -7,6 +7,7 @@ import tempfile
 
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from advdiff.cli import (
@@ -18,6 +19,9 @@ from advdiff.cli import (
     main,
 )
 from advdiff.fieldio import read_field
+from advdiff.grid import ScalarField, TorusGrid
+from advdiff.library import FieldSpec
+from advdiff.solver import SolverConfig, solve
 
 
 def write_config(tmp_path, name, payload):
@@ -63,6 +67,27 @@ class TestSimulateCommand:
         assert field.grid.points_per_axis == 32
 
         assert not list(out.parent.glob(".tmp-run-*"))  # no temp leftovers
+
+    def test_diagnostics_csv_is_the_solver_table(self, tmp_path):
+        cfg_path = write_config(tmp_path, "sim.json", simulate_config())
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+
+        grid = TorusGrid(2, 32)
+        _, y = grid.coordinate_mesh()
+        u0 = ScalarField(grid, np.broadcast_to(np.sin(2 * np.pi * y), grid.shape))
+        config = SolverConfig(t_final=0.02, dt=0.0005, record_every=10)
+        diag = solve(FieldSpec("taylor_green", {"amplitude": 1.0}), u0, config).diagnostics
+        for name, column in diag.items():
+            assert column.dtype == np.float64 and not column.flags.writeable, name
+            assert len(column) == 40 + 1, name  # n_steps + 1, t = 0 included
+
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        names = header.split(",")
+        assert len(rows) == 40 + 1
+        for i, row in enumerate(rows):
+            for name, cell in zip(names, row.split(","), strict=True):
+                assert float(cell) == diag[name][i], (name, i)
 
     def test_pure_diffusion_eigenmode_manifest_reports_heat_error(self, tmp_path):
         cfg = simulate_config(field=None)

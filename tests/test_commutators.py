@@ -204,6 +204,16 @@ class TestConvergenceStudy:
         parallel = convergence_study(cfg, threads=4)
         assert serial.norms == parallel.norms
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_any_transform(self, monkeypatch, grid32, threads):
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("taylor_green"), w_source=random_field(grid32, seed=74), delta_schedule=dyadic_schedule(0.3, 2)
+        )
+        calls = count_transforms(monkeypatch)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            convergence_study(cfg, threads=threads)
+        assert calls == []
+
     def test_kernel_independent_decay_both_norms(self):
         g = TorusGrid(2, 128)
         w = random_field(g, seed=74, max_mode=3, count=4)

@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
-    "commutator_rates": ["--n", "32", "--levels", "2", "--delta0", "0.2"],
-    "energy_budget_demo": ["--n", "16", "--t-final", "0.01", "--dt", "1e-3"],
+    "commutator_rates": ["--n", "32", "--levels", "2", "--delta0", "0.2", "--out", "{tmp}"],
+    "energy_budget_demo": ["--n", "16", "--t-final", "0.01", "--dt", "1e-3", "--out", "{tmp}"],
     "regime_figures": ["--resolution", "16", "--out", "{tmp}"],
 }
 

@@ -322,4 +322,4 @@ def test_solver_grad_l2_sq_diagnostic_matches_complex_oracle(grid):
     traj = solve(None, ScalarField(grid, u), SolverConfig(t_final=4 * dt, dt=dt))
     series = [oracles.grad_l2_sq(s.values, grid) for s in traj.states]
     oracle_cum = cumulative_simpson(np.asarray(series), dx=traj.dt, initial=0.0)
-    assert _rel_err([rec.grad_l2_sq_cum for rec in traj.diagnostics], oracle_cum) <= EQUIVALENCE_REL
+    assert _rel_err(traj.diagnostics["grad_l2_sq_cum"], oracle_cum) <= EQUIVALENCE_REL
