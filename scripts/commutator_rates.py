@@ -25,12 +25,19 @@ def bounded_smooth(grid):
     return ScalarField(grid, np.broadcast_to(np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y) + 0.5 * np.cos(2 * np.pi * y), grid.shape))
 
 
+def thread_count(text):
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=256)
     ap.add_argument("--levels", type=int, default=5)
     ap.add_argument("--delta0", type=float, default=0.1)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=thread_count, default=1)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 

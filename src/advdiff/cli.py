@@ -1,8 +1,9 @@
 """Command-line entry point: experiment configs, manifests, reproducible runs.
 
 Subcommands: ``simulate``, ``commutator``, ``regime classify|map``,
-``fields list|audit``.  Configs are strict JSON documents (unknown keys are
-rejected); every config run goes through ``run_config``, which writes the
+``fields list|audit``.  ``regime classify`` and ``fields list`` only print;
+the others take a strict JSON config (unknown keys are rejected) and run
+through ``run_config``, the one writer of files, which publishes the
 artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
@@ -454,11 +455,6 @@ def run_field_audit(cfg: dict, seed: int | None, threads: int):
     return None, {}, compute
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise SchemaError(f"threads must be >= 1, got {threads}")
-
-
 # Config-run commands: (config kind, default output directory, runner).
 _RUNS = {
     "simulate": ("simulate", "run", run_simulate),
@@ -477,7 +473,8 @@ def run_config(
     ``ValueError``, a numerical abort ``SolverAbort`` and an I/O failure
     ``OSError``; nothing is published then.
     """
-    _check_threads(threads)
+    if threads < 1:
+        raise SchemaError(f"threads must be >= 1, got {threads}")
     kind, default_out, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
     cfg = dict(raw)
@@ -519,14 +516,13 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advdiff", description="advection-diffusion laboratory on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run(subparsers, name, run, help, config_required=True, out_help="output directory (overrides config output_dir)"):
+    def add_run(subparsers, name, run, help):
         p = subparsers.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--config", required=config_required, default=None, help="JSON experiment config")
-        p.add_argument("--out", default=None, help=out_help)
+        p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--out", default=None, help="output directory (overrides config output_dir)")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        return p
 
     add_run(sub, "simulate", "simulate", "run the advection-diffusion solver")
     add_run(sub, "commutator", "commutator", "run a commutator decay study")
@@ -538,38 +534,13 @@ def _parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--alpha", default="inf")
     p_cls.add_argument("--p", default="inf")
     p_cls.add_argument("--q", default="inf")
-    p_cls.add_argument("--out", default=None, help="also write the JSON report here")
-    map_out = "SVG output path (flags mode) or output directory (config mode)"
-    p_map = add_run(reg_sub, "map", "regime map", "rasterize a (1/p, 1/q) region map", config_required=False, out_help=map_out)
-    p_map.add_argument("--d", type=int, default=None)
-    p_map.add_argument("--alpha", default="inf")
-    p_map.add_argument("--resolution", type=int, default=64)
+    add_run(reg_sub, "map", "regime map", "rasterize a (1/p, 1/q) region map")
 
     p_fields = sub.add_parser("fields", help="velocity-field catalog")
     f_sub = p_fields.add_subparsers(dest="fields_command", required=True)
     f_sub.add_parser("list", help="print the catalog with integrability cards")
     add_run(f_sub, "audit", "fields audit", "audit integrability cards by quadrature trends")
     return parser
-
-
-def _regime_map_flags(args) -> int:
-    """``regime map --d … --out fig.svg``: the SVG at ``--out``, the CSV next to it, no manifest."""
-    if args.d is None or args.out is None:
-        raise SchemaError("regime map needs either --config or both --d and --out")
-    _check_threads(args.threads)
-    svg_path = Path(args.out)
-    csv_path = svg_path.with_suffix(".csv")
-    if csv_path == svg_path:
-        raise SchemaError(f"--out {svg_path}: the CSV goes next to the SVG with a .csv suffix, so --out must not have one")
-    flags = {"d": args.d, "alpha": args.alpha, "resolution": args.resolution}
-    _, _, compute = run_regime_map(flags, args.seed, args.threads)
-    _, _, render = compute()
-    files = render()
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text(files["map.svg"])
-    csv_path.write_text(files["map.csv"])
-    print(f"wrote {svg_path} and {csv_path}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -596,14 +567,9 @@ def _command(args) -> int:
         return EXIT_OK
     if args.command == "regime" and args.regime_command == "classify":
         report = classify_exponents(args.d, args.alpha, args.p, args.q)
-        payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-        sys.stdout.write(payload)
-        if args.out:
-            Path(args.out).write_text(payload)
+        sys.stdout.write(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
         return EXIT_OK
-    if args.run == "regime map" and args.config is None:
-        return _regime_map_flags(args)
-    gates, out_dir = run_config(args.run, Path(args.config), args.out, args.threads, args.seed)
+    gates, out_dir = run_config(args.run, args.config, args.out, args.threads, args.seed)
     failed = sorted(name for name, ok in gates.items() if not ok)
     print(f"run complete: {out_dir} ({len(gates)} gates, {'all pass' if not failed else 'FAILED: ' + ', '.join(failed)})")
     return EXIT_GATES if failed else EXIT_OK

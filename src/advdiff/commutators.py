@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_from_values, lp_norm
-from .library import FieldSpec
+from .library import FieldSpec, log_log_slope
 from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
 from .solver import Trajectory, VelocitySampler
 from .spectral import divergence, spectral_core
@@ -216,8 +216,7 @@ def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
     if any(later > NO_DECAY_SLACK * earlier for earlier, later in zip(norms, norms[1:])):
         return DecayStudy(deltas, norms, ratios, None, "no-decay", norm_type)
     start = 1 if len(deltas) >= 5 else 0
-    safe = np.maximum(np.asarray(norms[start:]), 1e-300)
-    slope = float(np.polyfit(np.log(deltas[start:]), np.log(safe), 1)[0])
+    slope = log_log_slope(deltas[start:], norms[start:])
     return DecayStudy(deltas, norms, ratios, slope, "decay", norm_type)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "estimate_integrability",
     "estimate_time_integrability",
     "catalog_entries",
+    "log_log_slope",
 ]
 
 DIVERGENCE_GATE = 1e-8
@@ -324,11 +325,14 @@ def sample_key(spec: FieldSpec, t: float) -> int | float | None:
     return _switch_parity(spec, t)
 
 
+def log_log_slope(x, y) -> float:
+    """Least-squares slope of log(y) against log(x); y is floored at 1e-300 so a zero stays finite."""
+    return float(np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)[0])
+
+
 def _fit_trend(samples) -> TrendReport:
     """Classify the slope of log(integral) against log(x) over the (x, integral) samples."""
-    log_x = np.log([x for x, _ in samples])
-    log_integral = np.log([max(integral, 1e-300) for _, integral in samples])
-    slope = float(np.polyfit(log_x, log_integral, 1)[0])
+    slope = log_log_slope([x for x, _ in samples], [integral for _, integral in samples])
     if slope < CONVERGING_SLOPE:
         verdict = "converging"
     elif slope > DIVERGING_SLOPE:

@@ -244,25 +244,52 @@ class TestCommutatorCommand:
 
 
 class TestRegimeCommand:
-    def test_classify_red_wedge(self, tmp_path, capsys):
-        out_file = tmp_path / "report.json"
-        code = main(["regime", "classify", "--d", "3", "--alpha", "inf", "--p", "inf", "--q", "2", "--out", str(out_file)])
-        assert code == EXIT_OK
-        report = json.loads(out_file.read_text())
+    def test_classify_red_wedge(self, capsys):
+        assert main(["regime", "classify", "--d", "3", "--alpha", "inf", "--p", "inf", "--q", "2"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
         for flag in ("product_defined", "distributional_exists", "parabolic_exists", "parabolic_unique", "all_distributional_parabolic"):
             assert report[flag] is True
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == report
 
     def test_classify_rejects_bad_exponent(self):
         assert main(["regime", "classify", "--d", "3", "--alpha", "2", "--p", "0.5", "--q", "2"]) == EXIT_SCHEMA
 
     def test_map_writes_svg_and_csv(self, tmp_path):
-        svg = tmp_path / "fig.svg"
-        assert main(["regime", "map", "--d", "2", "--alpha", "inf", "--resolution", "16", "--out", str(svg)]) == EXIT_OK
-        assert svg.exists()
-        csv_lines = (tmp_path / "fig.csv").read_text().splitlines()
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 2, "alpha": "inf", "resolution": 16})
+        out = tmp_path / "map_run"
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert (out / "map.svg").exists()
+        csv_lines = (out / "map.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 16 * 16
+
+    def test_map_out_never_clobbers_files(self, tmp_path):
+        notes, sibling = tmp_path / "notes.txt", tmp_path / "notes.csv"
+        notes.write_text("keep me\n")
+        sibling.write_text("keep me too\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "map", "--d", "2", "--resolution", "16", "--out", str(notes)])
+        assert exc.value.code == EXIT_SCHEMA
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 2, "resolution": 16})
+        assert main(["regime", "map", "--config", cfg_path, "--out", str(notes)]) == EXIT_IO
+        assert notes.read_text() == "keep me\n" and sibling.read_text() == "keep me too\n"
+
+    @pytest.mark.parametrize("flag", ["--d", "--alpha", "--resolution"])
+    def test_map_refuses_removed_flags(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 2, "resolution": 16})
+        out = tmp_path / "map_run"
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "map", "--config", cfg_path, "--out", str(out), flag, "2"])
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
+    def test_classify_refuses_out(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "classify", "--d", "3", "--out", str(report)])
+        assert exc.value.code == EXIT_SCHEMA
+        assert capsys.readouterr().out == ""
+        assert not report.exists()
 
     def test_map_config_mode_writes_manifest(self, tmp_path):
         cfg = {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16}
@@ -281,14 +308,6 @@ class TestRegimeCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("alpha", ["0", "abc", "0.5", "nan"])
-    def test_map_flags_rejects_bad_alpha(self, tmp_path, capsys, alpha):
-        svg = tmp_path / "fig.svg"
-        assert main(["regime", "map", "--d", "3", "--alpha", alpha, "--resolution", "16", "--out", str(svg)]) == EXIT_SCHEMA
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
-        assert not svg.exists()
-
     @pytest.mark.parametrize("key", ["d", "resolution", "alpha"])
     def test_map_config_rejects_bool(self, tmp_path, capsys, key):
         cfg = {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16, key: True}
@@ -296,22 +315,6 @@ class TestRegimeCommand:
         assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_SCHEMA
         assert f"config.{key}: expected" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
-
-    def test_map_flags_rejects_dimension_below_one(self, tmp_path, capsys):
-        svg = tmp_path / "fig.svg"
-        assert main(["regime", "map", "--d", "0", "--alpha", "inf", "--resolution", "16", "--out", str(svg)]) == EXIT_SCHEMA
-        err = capsys.readouterr().err
-        assert err.startswith("config error: dimension must be >= 1") and "Traceback" not in err
-        assert not svg.exists()
-
-    def test_map_flags_refuses_csv_out(self, tmp_path, capsys):
-        out = tmp_path / "m.csv"
-        assert main(["regime", "map", "--d", "2", "--resolution", "16", "--out", str(out)]) == EXIT_SCHEMA
-        assert capsys.readouterr().err.startswith("config error:")
-        assert not out.exists()
-
-    def test_map_requires_flags_or_config(self):
-        assert main(["regime", "map", "--alpha", "inf"]) == EXIT_SCHEMA
 
     def test_map_config_mode_prints_run_line(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 2, "resolution": 16})
@@ -497,7 +500,7 @@ class TestConfigValidation:
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "regime_map_flags", "fields_audit"])
+    @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "fields_audit"])
     def test_threads_below_one_refused_before_compute(self, tmp_path, monkeypatch, capsys, command, threads):
         for name in ("solve", "convergence_study", "emit_region_map", "estimate_integrability"):
             monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the threads check"))
@@ -505,14 +508,21 @@ class TestConfigValidation:
             "simulate": (["simulate"], small_simulate_config()),
             "commutator": (["commutator"], small_commutator_config()),
             "regime_map": (["regime", "map"], {"kind": "regime-map", "d": 2, "resolution": 16}),
-            "regime_map_flags": (["regime", "map", "--d", "2", "--resolution", "16"], None),
             "fields_audit": (["fields", "audit"], audit_config()),
         }[command]
-        if cfg is not None:
-            argv = [*argv, "--config", write_config(tmp_path, "cfg.json", cfg)]
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out), "--threads", threads]) == EXIT_SCHEMA
+        assert main([*argv, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out), "--threads", threads]) == EXIT_SCHEMA
         assert capsys.readouterr().err == f"config error: threads must be >= 1, got {threads}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["commutator"], ["regime", "map"], ["fields", "audit"]], ids="_".join)
+    def test_run_command_requires_config(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--config" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_regime_alpha_still_accepts_infinity(self, tmp_path):

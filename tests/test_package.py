@@ -1,5 +1,6 @@
 """The package surface: each public name has one import path, its owner module's,
-and a caller in the package or its scripts."""
+and a caller in the package or its scripts; and one function, ``cli._publish``,
+writes to the file system."""
 
 import ast
 import importlib
@@ -107,3 +108,48 @@ def test_every_public_name_has_a_caller():
         file, test = served.split("::")
         defined = {n.name for n in ast.walk(ast.parse((ROOT / "tests" / file).read_text())) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert test in defined, served
+
+
+# Calls that change the file system: these methods, and ``open`` with a writing mode.
+WRITE_CALLS = {"write_text", "write_bytes", "mkdir", "mkdtemp", "rename", "replace", "unlink", "touch", "rmtree"}
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """True for ``open(f, mode)`` or ``path.open(mode)`` whose mode is not a read-only literal."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        positional = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        positional = call.args[:1]
+    else:
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + positional
+    if not modes:  # the default mode, "r"
+        return False
+    return not isinstance(modes[0], ast.Constant) or any(c in str(modes[0].value) for c in "wax+")
+
+
+def file_writes(path: Path):
+    """(top-level function, line) of every call in ``path`` that writes to the file system."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in WRITE_CALLS) or opens_for_writing(child):
+                    yield owner, child.lineno
+            yield from walk(child, owner)
+
+    yield from walk(ast.parse(path.read_text()), None)
+
+
+def test_publish_is_the_only_writer():
+    strays = [
+        f"{path.name}:{line} in {owner}"
+        for path in sorted((ROOT / "src" / "advdiff").glob("*.py"))
+        for owner, line in file_writes(path)
+        if (path.name, owner) != ("cli.py", "_publish")
+    ]
+    assert strays == []
