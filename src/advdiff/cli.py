@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate``, ``commutator``, ``regime classify|map``,
 ``fields list|audit``.  ``regime classify`` and ``fields list`` only print;
-the others take a strict JSON config (unknown keys are rejected) and run
-through ``run_config``, the one writer of files, which publishes the
+the others take a strict JSON config (unknown keys are rejected), which alone
+decides what is computed, and a required ``--out``, where it is published.
+They run through ``run_config``, the one writer of files, which publishes the
 artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
@@ -126,13 +127,13 @@ def _parse_field(block, dim: int, context="field") -> FieldSpec | None:
     return spec
 
 
-def _rng(cfg: dict, seed: int | None) -> np.random.Generator:
-    """The random-datum generator: ``--seed`` if given, else the config's ``seed``."""
-    cfg_seed = _take(cfg, "seed", int, default=0)
-    return np.random.default_rng(cfg_seed if seed is None else seed)
+def _rng(cfg: dict) -> np.random.Generator:
+    """The random-datum generator, seeded by the config's ``seed``."""
+    return np.random.default_rng(_take(cfg, "seed", int, default=0))
 
 
-def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, context="initial_datum") -> ScalarField:
+def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, band: int, context="initial_datum") -> ScalarField:
+    """The datum of ``block``, refused if a mode has some |k_j| > ``band`` (more than its consumer keeps)."""
     block = dict(block)
     kind = _take(block, "kind", str, context=context)
     amplitude = float(_take(block, "amplitude", _NUMBER, default=1.0, context=context))
@@ -142,6 +143,8 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
         _done(block, context)
         if len(mode) != grid.dim:
             raise SchemaError(f"{context}: mode must have {grid.dim} entries")
+        if max(map(abs, mode)) > band:
+            raise SchemaError(f"{context}.mode: each |k| must be <= {band} at N={grid.points_per_axis}, got {mode}")
         coords = grid.coordinate_mesh()
         arg = np.zeros(grid.shape)
         for k, c in zip(mode, coords):
@@ -167,6 +170,8 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, contex
         nyquist = grid.points_per_axis // 2
         if not 0 <= max_mode < nyquist:
             raise SchemaError(f"{context}.max_mode: must lie in [0, {nyquist}) at N={grid.points_per_axis}, got {max_mode}")
+        if max_mode > band:
+            raise SchemaError(f"{context}.max_mode: must be <= {band} at N={grid.points_per_axis}, got {max_mode}")
         coeffs = np.zeros(grid.shape, dtype=np.complex128)
         modes = range(-max_mode, max_mode + 1)
         for k in itertools.product(modes, repeat=grid.dim):
@@ -286,7 +291,7 @@ def _manifest(
 
 
 # ---------------------------------------------------------------- runners --
-# ``run_<kind>(cfg, seed, threads)`` pops its keys from ``cfg`` and returns
+# ``run_<kind>(cfg, threads)`` pops its keys from ``cfg`` and returns
 # (grid, tolerances, compute); ``compute()`` runs the work and the gates and
 # returns (gates, metrics, render); ``render()`` returns {file name: payload}.
 
@@ -325,12 +330,12 @@ def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
     return float(np.max(np.abs(traj.final_state.values - exact)))
 
 
-def run_simulate(cfg: dict, seed: int | None, threads: int):
+def run_simulate(cfg: dict, threads: int):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None), grid.dim)
     datum = _take(cfg, "initial_datum", dict)
-    u0 = _parse_scalar_datum(datum, grid, _rng(cfg, seed))
+    u0 = _parse_scalar_datum(datum, grid, _rng(cfg), band=grid.points_per_axis // 3)  # the modes the solver keeps
     solver_cfg = _parse_solver(_take(cfg, "solver", dict), grid)
     outputs_block = dict(_take(cfg, "outputs", dict, default={}))
     write_diag = _take(outputs_block, "diagnostics_csv", bool, default=True, context="outputs")
@@ -362,11 +367,11 @@ def run_simulate(cfg: dict, seed: int | None, threads: int):
     return grid, tol, compute
 
 
-def run_commutator(cfg: dict, seed: int | None, threads: int):
+def run_commutator(cfg: dict, threads: int):
     """``commutator``: the kernel-scale decay study of the commutator norm."""
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", dict), grid.dim)
-    w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg, seed), context="w")
+    w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg), band=grid.points_per_axis // 2 - 1, context="w")  # below Nyquist
     study = dict(_take(cfg, "study", dict))
     delta0 = float(_take(study, "delta0", _NUMBER, context="study"))
     levels = _take(study, "levels", int, context="study")
@@ -412,7 +417,7 @@ def run_commutator(cfg: dict, seed: int | None, threads: int):
     return grid, {}, compute
 
 
-def run_regime_map(cfg: dict, seed: int | None, threads: int):
+def run_regime_map(cfg: dict, threads: int):
     """``regime map``: rasterize the (1/p, 1/q) region map at one (d, alpha)."""
     d = _take(cfg, "d", int)
     inv_alpha = reciprocal_exponent(_take(cfg, "alpha", (int, float, str), default="inf"))
@@ -426,7 +431,7 @@ def run_regime_map(cfg: dict, seed: int | None, threads: int):
     return None, {}, compute
 
 
-def run_field_audit(cfg: dict, seed: int | None, threads: int):
+def run_field_audit(cfg: dict, threads: int):
     """``fields audit``: gate quadrature trends of the integral of |b|^p against the card."""
     dim = _take(cfg, "dim", int, default=2)
     field = _parse_field(_take(cfg, "field", dict), dim)
@@ -455,19 +460,17 @@ def run_field_audit(cfg: dict, seed: int | None, threads: int):
     return None, {}, compute
 
 
-# Config-run commands: (config kind, default output directory, runner).
+# Config-run commands: (config kind, runner).
 _RUNS = {
-    "simulate": ("simulate", "run", run_simulate),
-    "commutator": ("commutator", "commutator_run", run_commutator),
-    "regime map": ("regime-map", "regime_map", run_regime_map),
-    "fields audit": ("field-audit", "field_audit", run_field_audit),
+    "simulate": ("simulate", run_simulate),
+    "commutator": ("commutator", run_commutator),
+    "regime map": ("regime-map", run_regime_map),
+    "fields audit": ("field-audit", run_field_audit),
 }
 
 
-def run_config(
-    command: str, config: str | Path, out: str | Path | None = None, threads: int = 1, seed: int | None = None
-) -> tuple[dict[str, bool], Path]:
-    """Run one config command (a key of ``_RUNS``): parse, compute and gate, publish.
+def run_config(command: str, config: str | Path, out: str | Path, threads: int = 1) -> tuple[dict[str, bool], Path]:
+    """Run one config command (a key of ``_RUNS``): parse, compute and gate, publish to ``out``.
 
     Returns the gates and the output directory.  A bad config raises a
     ``ValueError``, a numerical abort ``SolverAbort`` and an I/O failure
@@ -475,13 +478,12 @@ def run_config(
     """
     if threads < 1:
         raise SchemaError(f"threads must be >= 1, got {threads}")
-    kind, default_out, runner = _RUNS[command]
+    kind, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
     cfg = dict(raw)
     cfg.pop("kind")
-    out_cfg = _take(cfg, "output_dir", str, default=None)
-    out_dir = Path(out or out_cfg or default_out)
-    grid, tolerances, compute = runner(cfg, seed, threads)
+    out_dir = Path(out)
+    grid, tolerances, compute = runner(cfg, threads)
     _done(cfg, "config")
     _check_target(out_dir)
 
@@ -520,9 +522,8 @@ def _parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (overrides config output_dir)")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     add_run(sub, "simulate", "simulate", "run the advection-diffusion solver")
     add_run(sub, "commutator", "commutator", "run a commutator decay study")
@@ -569,7 +570,7 @@ def _command(args) -> int:
         report = classify_exponents(args.d, args.alpha, args.p, args.q)
         sys.stdout.write(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
         return EXIT_OK
-    gates, out_dir = run_config(args.run, args.config, args.out, args.threads, args.seed)
+    gates, out_dir = run_config(args.run, args.config, args.out, args.threads)
     failed = sorted(name for name, ok in gates.items() if not ok)
     print(f"run complete: {out_dir} ({len(gates)} gates, {'all pass' if not failed else 'FAILED: ' + ', '.join(failed)})")
     return EXIT_GATES if failed else EXIT_OK

@@ -92,16 +92,13 @@ def _sample_kernel(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=128)
 def _kernel_values(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     check_resolvable(m, grid)
     vals = _sample_kernel(m, grid)
     mass = float(np.sum(vals)) * grid.cell_volume
     if mass <= 0.0:
         raise UnderResolvedKernelError(f"kernel has no mass on the grid (delta={m.delta})")
-    vals = vals / mass
-    vals.flags.writeable = False
-    return vals
+    return vals / mass
 
 
 @lru_cache(maxsize=128)
@@ -111,10 +108,11 @@ def kernel_multiplier(m: Mollifier, grid: TorusGrid) -> np.ndarray:
     Multiplying ``spectral_core(grid).forward(f)`` by it convolves f with the
     sampled kernel.  It is real because the kernel is even, and its zero mode
     is pinned to 1 so convolution preserves the mean exactly.  The array is
-    cached per (m, grid) and read-only.  Raises UnderResolvedKernelError when
-    delta is below the resolvable floor.
+    cached per (m, grid) and read-only, a real copy rather than a view that
+    would keep the complex spectrum alive.  Raises UnderResolvedKernelError
+    when delta is below the resolvable floor.
     """
-    mult = (spectral_core(grid).forward(_kernel_values(m, grid)) / grid.size).real
+    mult = np.ascontiguousarray((spectral_core(grid).forward(_kernel_values(m, grid)) / grid.size).real)
     mult[(0,) * grid.dim] = 1.0
     mult.flags.writeable = False
     return mult

@@ -123,7 +123,7 @@ def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:
 
 
 def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
-    """The package's cached rho^delta samples, renormalized to unit discrete mass.
+    """The package's rho^delta samples, renormalized to unit discrete mass.
 
     Raises UnderResolvedKernelError when delta is below the resolvable floor.
     """

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import pathlib
+import re
 import tempfile
 
 import hypothesis
@@ -16,6 +18,7 @@ from advdiff.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SCHEMA,
+    _parser,
     main,
 )
 from advdiff.fieldio import read_field
@@ -28,6 +31,12 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
     return str(path)
+
+
+def manifest_without_wall_time(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["wall_time_s"]
+    return manifest
 
 
 def simulate_config(**overrides):
@@ -117,12 +126,13 @@ class TestSimulateCommand:
         cfg_path = write_config(tmp_path, "sim.json", cfg)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg_path, "--out", str(a)]) == EXIT_OK
-        assert main(["simulate", "--config", cfg_path, "--out", str(b)]) == EXIT_OK
+        assert main(["simulate", "--config", cfg_path, "--out", str(b), "--threads", "3"]) == EXIT_OK
         assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
         snaps = sorted(p.name for p in a.glob("snapshot_*.torf"))
         assert snaps and snaps == sorted(p.name for p in b.glob("snapshot_*.torf"))
         for name in snaps:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert manifest_without_wall_time(a) == manifest_without_wall_time(b)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = simulate_config(extra_block={"x": 1})
@@ -203,9 +213,10 @@ class TestCommutatorCommand:
         cfg_path = write_config(tmp_path, "com.json", cfg)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["commutator", "--config", cfg_path, "--out", str(a)]) == EXIT_OK
-        assert main(["commutator", "--config", cfg_path, "--out", str(b)]) == EXIT_OK
+        assert main(["commutator", "--config", cfg_path, "--out", str(b), "--threads", "3"]) == EXIT_OK
         for name in ("decay.csv", "verdict.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert manifest_without_wall_time(a) == manifest_without_wall_time(b)
 
     def test_expectation_gate_failure(self, tmp_path):
         cfg = {
@@ -384,6 +395,14 @@ def audit_config(**overrides):
     return cfg
 
 
+# A small valid config for each run command.
+RUN_CONFIGS = {
+    "simulate": small_simulate_config(),
+    "commutator": small_commutator_config(),
+    "regime map": {"kind": "regime-map", "d": 2, "resolution": 16},
+    "fields audit": audit_config(),
+}
+
 NAN = float("nan")
 
 # (command, config, expected stderr fragment): each one used to run silently
@@ -438,6 +457,28 @@ BAD_CONFIGS = {
         ["simulate"],
         small_simulate_config({"kind": "random_bandlimited", "max_mode": -1}),
         "initial_datum.max_mode: must lie in [0, 8)",
+    ),
+    # the solver keeps only |k| <= N // 3, so these ran a truncated or zero datum
+    "max_mode_above_dealiased_band": (
+        ["simulate"],
+        small_simulate_config({"kind": "random_bandlimited", "max_mode": 6}),
+        "initial_datum.max_mode: must be <= 5 at N=16, got 6",
+    ),
+    "sine_above_dealiased_band": (
+        ["simulate"],
+        small_simulate_config({"kind": "sine", "mode": [6, 0]}),
+        "initial_datum.mode: each |k| must be <= 5 at N=16, got [6, 0]",
+    ),
+    # w is not dealiased, but the Nyquist mode and beyond alias
+    "w_sine_at_nyquist": (
+        ["commutator"],
+        dict(small_commutator_config(), w={"kind": "sine", "mode": [8, 0]}),
+        "w.mode: each |k| must be <= 7 at N=16, got [8, 0]",
+    ),
+    "output_dir_key": (
+        ["simulate"],
+        dict(small_simulate_config(), output_dir="x"),
+        "config error: config: unknown keys ['output_dir']",
     ),
     "mollify_b_unresolved": (
         ["simulate"],
@@ -525,6 +566,45 @@ class TestConfigValidation:
         assert "usage:" in err and "--config" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(RUN_CONFIGS), ids=lambda c: c.replace(" ", "_"))
+    def test_run_command_requires_out(self, tmp_path, monkeypatch, capsys, command):
+        cfg_path = write_config(tmp_path, "cfg.json", RUN_CONFIGS[command])
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--config", cfg_path])
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--out" in err and "Traceback" not in err
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "commutator"])
+    def test_run_command_refuses_seed(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, "cfg.json", RUN_CONFIGS[command])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", str(out), "--seed", "1"])
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --seed 1" in err
+        assert not out.exists()
+
+    def test_run_commands_take_only_config_out_threads(self):
+        # A new run flag must not change what is computed: the config alone decides that.
+        def subcommands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    yield from action.choices.items()
+
+        runs = {}
+        for name, sub in subcommands(_parser()):
+            runs[name] = sub
+            runs.update((f"{name} {inner}", p) for inner, p in subcommands(sub))
+        for command in RUN_CONFIGS:
+            options = {opt for action in runs[command]._actions for opt in action.option_strings}
+            assert options == {"-h", "--help", "--config", "--out", "--threads"}, command
+
     def test_regime_alpha_still_accepts_infinity(self, tmp_path):
         cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 3, "alpha": float("inf"), "resolution": 16})
         assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_OK
@@ -600,6 +680,31 @@ class TestPublish:
         else:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         assert not list(tmp_path.glob(".tmp-run-*"))
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_CONFIGS = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", README.read_text(), re.S) if '"kind"' in block]
+KIND_COMMANDS = {"simulate": ["simulate"], "commutator": ["commutator"], "regime-map": ["regime", "map"], "field-audit": ["fields", "audit"]}
+
+
+class _ReachedCompute(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cfg", README_CONFIGS, ids=lambda cfg: cfg["kind"])
+def test_readme_config_examples_parse(tmp_path, monkeypatch, cfg):
+    def reached(*args, **kwargs):
+        raise _ReachedCompute
+
+    for name in ("solve", "convergence_study", "emit_region_map", "integrability_card"):
+        monkeypatch.setattr(f"advdiff.cli.{name}", reached)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    with pytest.raises(_ReachedCompute):
+        main([*KIND_COMMANDS[cfg["kind"]], "--config", cfg_path, "--out", str(tmp_path / "out")])
+
+
+def test_readme_shows_a_config_of_every_kind():
+    assert sorted(cfg["kind"] for cfg in README_CONFIGS) == sorted(KIND_COMMANDS)
 
 
 # Small valid configs; the fuzz below replaces or deletes a few of their values.

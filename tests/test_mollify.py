@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from advdiff.mollify import (
     Mollifier,
     UnderResolvedKernelError,
     dyadic_schedule,
+    kernel_multiplier,
     mollify,
 )
-from advdiff.spectral import divergence_defect, gradient
+from advdiff.spectral import divergence_defect, gradient, spectral_core
 
 from conftest import random_field
 from oracles import kernel_field
@@ -128,6 +130,23 @@ class TestMollify:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             mollify(3.0, Mollifier(GAUSSIAN_PERIODIZED, 0.1))
+
+
+class TestKernelMultiplier:
+    def test_cache_retains_only_the_multipliers(self):
+        # Neither the sampled kernel nor the complex spectrum the multiplier
+        # was taken from may outlive the call.
+        g = TorusGrid(2, 128)
+        spectral_core(g)
+        kernel_multiplier(Mollifier(GAUSSIAN_PERIODIZED, 0.2171), g)  # warm any per-grid state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mults = [kernel_multiplier(Mollifier(GAUSSIAN_PERIODIZED, 0.0531 + 0.0117 * j), g) for j in range(5)]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.25 * sum(m.nbytes for m in mults)
 
 
 class TestDyadicSchedule:

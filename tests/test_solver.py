@@ -52,6 +52,15 @@ class TestHeatFlow:
         exact = math.exp(-4 * math.pi**2 * 0.1) * u0.values
         assert np.max(np.abs(traj.final_state.values - exact)) < 1e-10
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_two_step_dissipation_matches_closed_form(self):
+        # sin(2 pi 10 x) at N=32 decays by exp(-8 pi^2 100 dt) = 0.67 per step, too fast for Simpson's rule
+        g = TorusGrid(2, 32)
+        u0 = ScalarField(g, np.broadcast_to(np.sin(2 * np.pi * 10 * g.coordinate_mesh()[0]), g.shape))
+        traj = solve(None, u0, SolverConfig(t_final=1e-3, dt=5e-4))
+        exact = 0.25 * -math.expm1(-8 * math.pi**2 * 100 * 1e-3)
+        assert traj.diagnostics["grad_l2_sq_cum"][-1] == pytest.approx(exact, rel=1e-12)
+
     def test_monotone_lq_decay(self):
         g = TorusGrid(2, 32)
         traj = solve(None, sine_mode(g), SolverConfig(t_final=0.05, dt=1e-3))
