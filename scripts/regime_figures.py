@@ -5,7 +5,7 @@ Produces the existence square for d = 2 (time-integrability axis at its
 best, 1/alpha = 0) and two slices of the d = 3 uniqueness/regularity cube
 (1/alpha = 0 and 1/alpha = 1/2).
 
-Usage: python scripts/regime_figures.py [--resolution 64] [--out figures/]
+Usage: python scripts/regime_figures.py [--resolution 64] --out DIR
 """
 
 import argparse
@@ -17,7 +17,7 @@ from advdiff.regimes import emit_region_map, region_map_csv, region_map_svg
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--resolution", type=int, default=64)
-    ap.add_argument("--out", type=Path, default=Path("figures"))
+    ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 
     slices = [

@@ -115,6 +115,9 @@ class CommutatorStudyConfig:
 
     ``w_source`` is either an explicit ScalarField or a solver Trajectory,
     in which case the time quadrature runs over its recorded snapshots.
+    The config validates on construction: every level must be resolvable on
+    the grid (``UnderResolvedKernelError`` otherwise) and a trajectory must be
+    recorded at least twice per switch of a time-dependent field.
     """
 
     b_source: object  # FieldSpec | VectorField
@@ -144,17 +147,8 @@ class CommutatorStudyConfig:
         if not self.t_final > 0.0:
             raise ValueError("t_final must be positive")
         object.__setattr__(self, "delta_schedule", sched)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.w_source.grid
-
-    def validate_resolvable(self) -> None:
-        """Raise ``UnderResolvedKernelError`` if any level is narrower than the grid resolves."""
-        for delta in self.delta_schedule:
+        for delta in sched:
             check_resolvable(Mollifier(self.mollifier_profile, delta), self.grid)
-
-    def validate_time_sampling(self) -> None:
         b = self.b_source
         if isinstance(b, FieldSpec) and b.time_dependent and isinstance(self.w_source, Trajectory):
             times = self.w_source.times
@@ -167,6 +161,10 @@ class CommutatorStudyConfig:
                     f"snapshot spacing {spacing:.3g} too coarse for field period {period:.3g};"
                     " record at least twice per switch"
                 )
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.w_source.grid
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,6 @@ def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStud
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    cfg.validate_resolvable()
-    cfg.validate_time_sampling()
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
     times, weights, states = _time_nodes(cfg)

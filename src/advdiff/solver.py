@@ -3,9 +3,9 @@
 Diffusion is applied exactly in spectral space through the factor
 exp(-4 pi^2 |k|^2 dt); the advection term -div(b u) is evaluated
 pseudo-spectrally (product on the grid, divergence in spectral space,
-dealiased by the 2/3 rule) and advanced by an explicit Runge-Kutta stage
-loop inside the integrating factor.  The conservative form div(b u) keeps
-the mean exact in spectral arithmetic.
+dealiased by the 2/3 rule) and advanced by the classical RK4 scheme
+inside the integrating factor.  The conservative form div(b u) keeps the
+mean exact in spectral arithmetic.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def _convexity_spot_check(beta: ConvexFunction) -> None:
 class SolverConfig:
     """Time-stepping policy and approximation-scheme switches.
 
+    The scheme is always classical RK4 inside the integrating factor.
     Exactly one of ``dt`` (fixed step) and ``cfl_safety`` (advective CFL with
     safety factor sigma in (0,1]) must be set.  ``mollify_b``/``mollify_u0``
     run the data through the smoothing pipeline at the given scales before
@@ -102,7 +103,6 @@ class SolverConfig:
     t_final: float
     dt: float | None = None
     cfl_safety: float | None = None
-    rk_order: int = 4
     mollify_b: float | None = None
     mollify_u0: float | None = None
     mollifier_profile: str = "gaussian_periodized"
@@ -118,8 +118,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.cfl_safety is not None and not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.rk_order not in (3, 4):
-            raise ValueError("rk_order must be 3 or 4")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         check_profile(self.mollifier_profile)
@@ -199,7 +197,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     """Advance u0 under the velocity source b up to t_final.
 
     ``b`` may be None (pure diffusion), a static VectorField, or a catalog
-    FieldSpec (sampled at the Runge-Kutta stage times when time-dependent).
+    FieldSpec (sampled at the RK4 stage times when time-dependent).
     The mean of u is conserved to roundoff at every step; a CFL violation or
     a non-finite state aborts with the offending step.
     """
@@ -276,22 +274,13 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
             raise SolverAbort(step, t, f"CFL violation: dt={dt:.6g} exceeds limit {limit:.6g}")
 
         n0 = rhs(u_hat, t, u_real)  # u_real is the state record() has just seen
-        if config.rk_order == 3:
-            # Kutta's third-order scheme inside the integrating factor; all
-            # exponentials decay because the stage times are nondecreasing.
-            s1 = e_half * (u_hat + 0.5 * dt * n0)
-            n1 = rhs(s1, t + 0.5 * dt)
-            s2 = e_full * u_hat + dt * (-e_full * n0 + 2.0 * e_half * n1)
-            n2 = rhs(s2, t + dt)
-            u_hat = e_full * u_hat + (dt / 6.0) * (e_full * n0 + 4.0 * e_half * n1 + n2)
-        else:
-            sa = e_half * (u_hat + 0.5 * dt * n0)
-            na = rhs(sa, t + 0.5 * dt)
-            sb = e_half * u_hat + 0.5 * dt * na
-            nb = rhs(sb, t + 0.5 * dt)
-            sc = e_full * u_hat + dt * e_half * nb
-            nc = rhs(sc, t + dt)
-            u_hat = e_full * u_hat + (dt / 6.0) * (e_full * n0 + 2.0 * e_half * (na + nb) + nc)
+        sa = e_half * (u_hat + 0.5 * dt * n0)
+        na = rhs(sa, t + 0.5 * dt)
+        sb = e_half * u_hat + 0.5 * dt * na
+        nb = rhs(sb, t + 0.5 * dt)
+        sc = e_full * u_hat + dt * e_half * nb
+        nc = rhs(sc, t + dt)
+        u_hat = e_full * u_hat + (dt / 6.0) * (e_full * n0 + 2.0 * e_half * (na + nb) + nc)
 
         t = step * dt
         if not np.all(np.isfinite(u_hat)):

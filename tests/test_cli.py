@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import re
+import runpy
 import tempfile
 
 import hypothesis
@@ -120,6 +121,13 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["all_gates_pass"] is True
         assert manifest["metrics"]["heat_kernel_error"] <= 1e-10
+
+    def test_manifest_records_fixed_tolerances(self, tmp_path):
+        cfg_path = write_config(tmp_path, "sim.json", simulate_config())
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tolerances"] == {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, "mean_drift": 1e-12}
 
     def test_deterministic_output_bytes(self, tmp_path):
         cfg = simulate_config(initial_datum={"kind": "random_bandlimited", "max_mode": 3, "amplitude": 1.0})
@@ -448,6 +456,12 @@ BAD_CONFIGS = {
     "amplitude_nan": (["simulate"], small_simulate_config({"kind": "sine", "mode": [0, 1], "amplitude": NAN}), "must be finite"),
     "width_nan": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": NAN}), "initial_datum.width: must be finite"),
     "width_zero": (["simulate"], small_simulate_config({"kind": "gaussian_bump", "width": 0}), "initial_datum.width: must be positive"),
+    # 0.32 grid cells: the 2/3 mask kept a bump of peak 0.478 where the datum asked for 1
+    "width_below_two_cells": (
+        ["simulate"],
+        dict(small_simulate_config({"kind": "gaussian_bump", "width": 0.02}), field=None),
+        "initial_datum.width: must be >= 2 grid cells",
+    ),
     "max_mode_16": (
         ["simulate"],
         small_simulate_config({"kind": "random_bandlimited", "max_mode": 16}),
@@ -494,6 +508,16 @@ BAD_CONFIGS = {
         ["simulate"],
         small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "diffusion": "explicit"}),
         "solver: unknown keys ['diffusion']",
+    ),
+    "tolerances_block": (
+        ["simulate"],
+        dict(small_simulate_config(), tolerances={"e2_slack": 0.1}),
+        "config error: config: unknown keys ['tolerances']",
+    ),
+    "rk_order_three": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "rk_order": 3}),
+        "config error: solver.rk_order: must be 4, got 3",
     ),
     "profile_bogus_simulate": (
         ["simulate"],
@@ -707,6 +731,23 @@ def test_readme_shows_a_config_of_every_kind():
     assert sorted(cfg["kind"] for cfg in README_CONFIGS) == sorted(KIND_COMMANDS)
 
 
+# The benchmark's request generator, executed from source (no bytecode is written next to it).
+BENCH_WORKLOADS = runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_benchmark_requests_parse(tmp_path, monkeypatch, name):
+    def reached(*args, **kwargs):
+        raise _ReachedCompute
+
+    for target in ("solve", "convergence_study", "emit_region_map", "integrability_card"):
+        monkeypatch.setattr(f"advdiff.cli.{target}", reached)
+    wl = BENCH_WORKLOADS[name]
+    cfg_path = pathlib.Path(write_config(tmp_path, "cfg.json", wl.config(0)))
+    with pytest.raises(_ReachedCompute):
+        main(wl.argv(cfg_path, tmp_path / "out"))
+
+
 # Small valid configs; the fuzz below replaces or deletes a few of their values.
 FUZZ_BASES = {
     "simulate": (
@@ -716,10 +757,9 @@ FUZZ_BASES = {
             "seed": 1,
             "grid": {"dim": 2, "points_per_axis": 8},
             "field": {"name": "taylor_green", "params": {"amplitude": 1.0}},
-            "initial_datum": {"kind": "gaussian_bump", "center": [0.5, 0.5], "width": 0.2, "amplitude": 1.0},
+            "initial_datum": {"kind": "gaussian_bump", "center": [0.5, 0.5], "width": 0.25, "amplitude": 1.0},
             "solver": {"t_final": 0.004, "dt": 0.001, "record_every": 2, "mollify_u0": 0.5},
             "outputs": {"diagnostics_csv": True, "snapshots": True},
-            "tolerances": {"e1_slack": 1e-8},
         },
     ),
     "commutator": (["commutator"], small_commutator_config()),

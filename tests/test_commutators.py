@@ -135,23 +135,21 @@ class TestStudyConfig:
 
     def test_resolvability_validated_at_run(self, grid32):
         w = random_field(grid32, seed=70)
-        cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("shear"), w_source=w, delta_schedule=(0.1, 0.001)
-        )
         with pytest.raises(ValueError, match="resolvable"):
-            convergence_study(cfg)
+            CommutatorStudyConfig(
+                b_source=FieldSpec("shear"), w_source=w, delta_schedule=(0.1, 0.001)
+            )
 
     def test_trajectory_sampling_validated_against_period(self):
         g = TorusGrid(2, 32)
         u0 = random_field(g, seed=71, max_mode=2, count=3)
         traj = solve(None, u0, SolverConfig(t_final=0.2, dt=1e-2, record_every=10))
-        cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("alternating_shear", {"period": 0.05}),
-            w_source=traj,
-            delta_schedule=(0.2, 0.1),
-        )
         with pytest.raises(ValueError, match="snapshot spacing"):
-            convergence_study(cfg)
+            CommutatorStudyConfig(
+                b_source=FieldSpec("alternating_shear", {"period": 0.05}),
+                w_source=traj,
+                delta_schedule=(0.2, 0.1),
+            )
 
 
 class TestSummarizeDecay:

@@ -34,3 +34,10 @@ def test_commutator_rates_refuses_zero_threads(tmp_path):
     proc = run_script(tmp_path, "commutator_rates", ["--n", "16", "--levels", "2", "--delta0", "0.5", "--threads", "0"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "usage:" in proc.stderr
+
+
+def test_regime_figures_requires_out(tmp_path):
+    proc = run_script(tmp_path, "regime_figures", ["--resolution", "16"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "usage:" in proc.stderr and "--out" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

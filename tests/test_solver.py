@@ -37,8 +37,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(t_final=-1.0, dt=0.1)
         with pytest.raises(ValueError):
-            SolverConfig(t_final=1.0, dt=0.1, rk_order=2)
-        with pytest.raises(ValueError):
             SolverConfig(t_final=1.0, cfl_safety=1.5)
         with pytest.raises(ValueError):
             SolverConfig(t_final=1.0, dt=0.1, record_every=0)
@@ -137,7 +135,7 @@ class TestAdvection:
         u0 = sine_mode(g, axis=1)
         residuals = []
         for dt in (4e-4, 2e-4):
-            traj = solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=0.1, dt=dt, rk_order=3, record_every=10**9))
+            traj = solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=0.1, dt=dt, record_every=10**9))
             diag = traj.diagnostics
             residuals.append(abs(diag["energy_lhs"][-1] - 0.5 * diag["l2"][0] ** 2))
         assert residuals[0] < 1e-6
@@ -244,7 +242,7 @@ class TestStepControl:
         counts = []
         for n_steps in (3, 6):
             calls.clear()
-            solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=n_steps * dt, dt=dt, rk_order=4))
+            solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=n_steps * dt, dt=dt))
             counts.append(len(calls))
         # the difference cancels the set-up transforms (field instantiation, the initial state)
         assert counts[0] > 0
