@@ -156,6 +156,7 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, band: 
         return ScalarField.constant(grid, value)
     if kind == "gaussian_bump":
         center = _take_list(block, "center", _NUMBER, default=[0.5] * grid.dim, context=context)
+        given = "width" in block
         width = float(_take(block, "width", _NUMBER, default=0.1, context=context))
         _done(block, context)
         if len(center) != grid.dim:
@@ -163,7 +164,8 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, band: 
         if not width > 0.0:
             raise SchemaError(f"{context}.width: must be positive, got {width}")
         if width < 2.0 * grid.spacing:  # narrower bumps lose a visible share of their L^2 to the 2/3 mask
-            raise SchemaError(f"{context}.width: must be >= 2 grid cells ({2.0 * grid.spacing:g}) at N={grid.points_per_axis}, got {width}")
+            got = width if given else f"the default {width}; set a wider width"
+            raise SchemaError(f"{context}.width: must be >= 2 grid cells ({2.0 * grid.spacing:g}) at N={grid.points_per_axis}, got {got}")
         r_sq = wrapped_radius_sq(grid, [float(c) for c in center])
         return ScalarField(grid, amplitude * np.exp(-r_sq / (2.0 * width**2)))
     if kind == "random_bandlimited":
@@ -333,6 +335,8 @@ def run_simulate(cfg: dict, threads: int):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None), grid.dim)
+    if field is not None and field.time_dependent and field.param("modulation_exponent") > 0.0:  # |b(t)| ~ t^-beta
+        raise SchemaError(f"field: {field.name} with modulation_exponent > 0 is singular at t = 0, where simulate starts")
     datum = _take(cfg, "initial_datum", dict)
     u0 = _parse_scalar_datum(datum, grid, _rng(cfg), band=grid.points_per_axis // 3)  # the modes the solver keeps
     solver_cfg = _parse_solver(_take(cfg, "solver", dict), grid)
@@ -444,8 +448,7 @@ def run_field_audit(cfg: dict, threads: int):
         card = integrability_card(field)
         rows = ["p,slope,verdict,consistent_with_card"]
         gates = {}
-        for p in p_values:
-            report = estimate_integrability(field, p, resolutions, dim=dim)
+        for p, report in zip(p_values, estimate_integrability(field, p_values, resolutions, dim=dim)):
             if p < card.p_finite_below:  # p is finite, so this holds for every p when the card says inf
                 consistent = report.verdict != "diverging"
             else:

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_from_values, lp_norm
 from .library import FieldSpec, log_log_slope
 from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
-from .solver import Trajectory, VelocitySampler
+from .solver import Trajectory, VelocitySampler, simpson
 from .spectral import divergence, spectral_core
 
 __all__ = [
@@ -299,7 +298,7 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
 
     out = []
     for m, grad_j, pairing_j, (half_start, half_end) in zip(molls, grad_sq, pairing, half_sq):
-        residual = half_end + float(simpson(np.asarray(grad_j), x=times)) - half_start
-        coupling = float(simpson(np.asarray(pairing_j), x=times))
+        residual = half_end + simpson(np.asarray(grad_j), times) - half_start
+        coupling = simpson(np.asarray(pairing_j), times)
         out.append(CouplingRecord(m.delta, residual, coupling))
     return tuple(out)

@@ -352,20 +352,22 @@ def refinement_grids(resolutions, dim: int) -> tuple[TorusGrid, ...]:
     return tuple(TorusGrid(dim, n) for n in resolutions)
 
 
-def estimate_integrability(spec: FieldSpec, p: float, resolutions, dim: int = 2) -> TrendReport:
-    """Classify the quadrature trend of the integral of |b|^p under grid refinement.
+def estimate_integrability(spec: FieldSpec, p_values, resolutions, dim: int = 2) -> tuple[TrendReport, ...]:
+    """Classify the quadrature trend of the integral of |b|^p under grid refinement, for each p.
 
     Fits log(integral) vs log(N); a flat fit means the quadrature converges
     and b is p-integrable, sustained growth means it diverges.  A switching
-    field is sampled mid-way through its first period.
+    field is sampled mid-way through its first period.  Each grid is
+    instantiated once and serves every p; the reports follow ``p_values``.
     """
     grids = refinement_grids(resolutions, dim)
     t = 0.5 * spec.param("period") if spec.time_dependent else 0.0
-    samples = []
+    samples = [[] for _ in p_values]
     for grid in grids:
-        integral = lp_norm(instantiate(spec, grid, t).magnitude(), p) ** p
-        samples.append((float(grid.points_per_axis), integral))
-    return _fit_trend(samples)
+        magnitude = instantiate(spec, grid, t).magnitude()
+        for p, trend in zip(p_values, samples):
+            trend.append((float(grid.points_per_axis), lp_norm(magnitude, p) ** p))
+    return tuple(_fit_trend(trend) for trend in samples)
 
 
 def estimate_time_integrability(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from xml.sax.saxutils import escape
+from html import escape
 
 __all__ = [
     "RegimeQuery",
@@ -288,13 +288,13 @@ def region_map_svg(rm: RegionMap) -> str:
     legend.append(f'<text x="{lx}" y="{ly - 14}" font-weight="bold">flags|nonuniqueness|questions</text>')
     for label, color in labels.items():
         legend.append(f'<rect x="{lx}" y="{ly:.1f}" width="14" height="14" fill="{color}"/>')
-        legend.append(f'<text x="{lx + 20}" y="{ly + 12:.1f}">{escape(label)}</text>')
+        legend.append(f'<text x="{lx + 20}" y="{ly + 12:.1f}">{escape(label, quote=False)}</text>')
         ly += 20
     ly += 16
     legend.append(f'<text x="{lx}" y="{ly:.1f}" font-weight="bold">statements</text>')
     ly += 20
     for sid in used_statements:
-        legend.append(f'<text x="{lx}" y="{ly:.1f}" font-size="10">{sid}: {escape(STATEMENTS[sid])}</text>')
+        legend.append(f'<text x="{lx}" y="{ly:.1f}" font-size="10">{sid}: {escape(STATEMENTS[sid], quote=False)}</text>')
         ly += 16
 
     height = max(y0 + plot + 60.0, ly + 20.0)

@@ -21,6 +21,10 @@ time.  The region-map forms at the end format every cell of a ``RegionMap``
 from scratch: label, flag string and coordinates, once for the CSV and once
 for the SVG.  They read only the public fields of each report.
 
+The time quadratures here are scipy's ``simpson`` and
+``cumulative_simpson``, imported for this purpose alone: ``advdiff.solver``
+ports both to numpy and must equal them bit for bit.
+
 Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
 package's cached kernel samples as a field, and ``lq_dissipation_check``
 reads the worst increase of an L^q norm off a trajectory's records.
@@ -33,7 +37,7 @@ import math
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig, CouplingRecord
 from advdiff.commutators import commutator as package_commutator

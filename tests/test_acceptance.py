@@ -236,8 +236,7 @@ def test_criterion_10_integrability_placement():
         for a in (1.4, 1.5, 1.75):
             spec = FieldSpec("power_singularity", {"exponent": a})
             p_star = 2.0 / (a - 1.0)
-            below = estimate_integrability(spec, p_star - 1.0, resolutions)
-            above = estimate_integrability(spec, p_star + 1.0, resolutions)
+            below, above = estimate_integrability(spec, (p_star - 1.0, p_star + 1.0), resolutions)
             assert below.verdict == "converging", (a, below)
             assert above.verdict == "diverging", (a, above)
         assert time.perf_counter() - start < 180.0

@@ -26,6 +26,7 @@ from advdiff.fieldio import read_field
 from advdiff.grid import ScalarField, TorusGrid
 from advdiff.library import FieldSpec
 from advdiff.solver import SolverConfig, solve
+from conftest import count_calls
 
 
 def write_config(tmp_path, name, payload):
@@ -369,6 +370,13 @@ class TestFieldsCommand:
         assert verdicts["3"] == "converging"
         assert verdicts["5"] == "diverging"
 
+    def test_audit_instantiates_once_per_resolution(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        cfg = audit_config(p_values=[1.5, 2.0, 3.0, 5.0], resolutions=[64, 128, 256, 512, 1024])
+        out = tmp_path / "audit"
+        assert main(["fields", "audit", "--config", write_config(tmp_path, "audit.json", cfg), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 5  # one per resolution, shared by the four p; it was one per (p, resolution), 20
+
 
 def small_simulate_config(datum=None, solver=None):
     return simulate_config(
@@ -412,6 +420,7 @@ RUN_CONFIGS = {
 }
 
 NAN = float("nan")
+MODULATED_SHEAR = {"name": "alternating_shear", "params": {"modulation_exponent": 0.3}}
 
 # (command, config, expected stderr fragment): each one used to run silently
 # or to end in a traceback with exit 1.
@@ -461,6 +470,12 @@ BAD_CONFIGS = {
         ["simulate"],
         dict(small_simulate_config({"kind": "gaussian_bump", "width": 0.02}), field=None),
         "initial_datum.width: must be >= 2 grid cells",
+    ),
+    # at N=16 the default width of 0.1 is below 2 cells, and the message named it as if the config had set it
+    "width_default_below_two_cells": (
+        ["simulate"],
+        dict(small_simulate_config({"kind": "gaussian_bump"}), field=None),
+        "initial_datum.width: must be >= 2 grid cells (0.125) at N=16, got the default 0.1",
     ),
     "max_mode_16": (
         ["simulate"],
@@ -530,6 +545,12 @@ BAD_CONFIGS = {
         dict(small_simulate_config(), field={"name": "taylor_green", "params": {"amplitude": NAN}}),
         "field.params.amplitude: must be finite",
     ),
+    # solve samples b at t = 0, where |b(t)| ~ t^-0.3 is infinite; it failed there, inside compute
+    "modulated_shear_simulate": (
+        ["simulate"],
+        dict(small_simulate_config(), field=MODULATED_SHEAR),
+        "config error: field: alternating_shear with modulation_exponent > 0 is singular at t = 0, where simulate starts",
+    ),
     "regime_d_zero": (["regime", "map"], {"kind": "regime-map", "d": 0, "resolution": 16}, "config error: dimension must be >= 1"),
     "regime_d_negative": (["regime", "map"], {"kind": "regime-map", "d": -1, "resolution": 16}, "config error: dimension must be >= 1"),
 }
@@ -563,6 +584,27 @@ class TestConfigValidation:
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    def test_modulated_shear_simulate_refused_before_compute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a field singular at t = 0"))
+        command, cfg, _ = BAD_CONFIGS["modulated_shear_simulate"]
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            # the study samples b at the midpoints of its time nodes, never at t = 0
+            (["commutator"], dict(small_commutator_config(), field=MODULATED_SHEAR, expect={})),
+            # the audit samples b at half a period
+            (["fields", "audit"], audit_config(field=MODULATED_SHEAR, p_values=[2.0])),
+        ],
+        ids=["commutator", "fields_audit"],
+    )
+    def test_modulated_shear_accepted_outside_simulate(self, tmp_path, command, cfg):
+        out = tmp_path / "out"
+        assert main([*command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_OK
+        assert (out / "manifest.json").is_file()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "fields_audit"])

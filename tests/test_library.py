@@ -189,22 +189,22 @@ class TestIntegrabilityCard:
 class TestEstimateIntegrability:
     def test_needs_three_resolutions(self):
         with pytest.raises(ValueError, match="3 resolutions"):
-            estimate_integrability(FieldSpec("shear"), 2.0, (32, 64))
+            estimate_integrability(FieldSpec("shear"), [2.0], (32, 64))
 
     def test_needs_increasing_resolutions(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            estimate_integrability(FieldSpec("shear"), 2.0, (32, 32, 64))
+            estimate_integrability(FieldSpec("shear"), [2.0], (32, 32, 64))
 
     def test_shear_converges_any_p(self):
-        for p in (1.0, 4.0, 10.0):
-            report = estimate_integrability(FieldSpec("shear"), p, (32, 64, 128))
+        for report in estimate_integrability(FieldSpec("shear"), (1.0, 4.0, 10.0), (32, 64, 128)):
             assert report.verdict == "converging"
 
     def test_singular_field_flips_across_threshold(self):
         spec = FieldSpec("power_singularity", {"exponent": 1.5})  # p* = 4
         resolutions = (64, 128, 256, 512)
-        assert estimate_integrability(spec, 3.0, resolutions).verdict == "converging"
-        assert estimate_integrability(spec, 5.0, resolutions).verdict == "diverging"
+        below, above = estimate_integrability(spec, (3.0, 5.0), resolutions)
+        assert below.verdict == "converging"
+        assert above.verdict == "diverging"
 
 
 class TestTimeIntegrability:

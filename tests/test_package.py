@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import advdiff
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +29,19 @@ def loaded_modules(statement: str) -> set[str]:
 def test_regimes_imports_no_numeric_stack():
     loaded = {name.split(".")[0] for name in loaded_modules("import advdiff.regimes")}
     assert not loaded & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [
+        # scipy.integrate brought scipy.optimize, scipy.linalg and scipy.sparse; advdiff.solver owns the Simpson rules
+        ("advdiff.cli", {"scipy.integrate", "scipy.optimize", "scipy.sparse"}),
+        # xml.sax.saxutils brought urllib.request; html.escape does not
+        ("advdiff.regimes", {"urllib.request"}),
+    ],
+)
+def test_import_leaves_out(module, unwanted):
+    assert not loaded_modules(f"import {module}") & unwanted
 
 
 def test_cli_imports_every_module():

@@ -12,11 +12,14 @@ from advdiff.solver import (
     SolverAbort,
     SolverConfig,
     TestFunction,
+    _cumulative_simpson,
     beta_dissipation,
+    simpson,
     solve,
     weak_residual,
 )
 
+import oracles
 from conftest import count_calls, count_transforms, random_field
 from oracles import lq_dissipation_check
 
@@ -344,3 +347,34 @@ class TestWeakResidual:
         bad = TestFunction.separable(lambda grid: np.ones(grid.shape), lambda t: 1.0, lambda t: 0.0)
         with pytest.raises(ValueError, match="vanish"):
             weak_residual(traj, None, bad)
+
+
+def quadrature_samples(n: int):
+    """Sample sets of length n: negative zeros, and random values at unit and at widely mixed scales."""
+    rng = np.random.default_rng(n)
+    yield -np.zeros(n)
+    yield rng.normal(size=n)
+    yield rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+
+
+class TestSimpsonPorts:
+    """The numpy Simpson rules equal scipy's bit for bit, signed zeros included."""
+
+    # n = 1 and 2 take the trapezoid branches, even n >= 4 the correction of the last interval
+    SIZES = range(1, 42)
+
+    def test_simpson_matches_scipy(self):
+        for n in self.SIZES:
+            uniform = np.asarray([i * 1e-3 for i in range(n)])  # as Trajectory.times builds them
+            nonuniform = np.cumsum(np.random.default_rng(100 + n).uniform(0.05, 1.0, size=n))
+            for y in quadrature_samples(n):
+                for x in (uniform, nonuniform):
+                    ours, ref = simpson(y, x), oracles.simpson(y, x=x)
+                    assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), (n, ours, ref)
+
+    def test_cumulative_simpson_matches_scipy(self):
+        for n in self.SIZES:
+            for y in quadrature_samples(n):
+                for dx in (1e-3, 0.37):
+                    ours, ref = _cumulative_simpson(y, dx), oracles.cumulative_simpson(y, dx=dx, initial=0.0)
+                    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), (n, dx)
