@@ -11,12 +11,22 @@ Usage: python scripts/regime_figures.py [--resolution 64] --out DIR
 import argparse
 from pathlib import Path
 
-from advdiff.regimes import emit_region_map, region_map_csv, region_map_svg
+from advdiff.regimes import check_resolution, emit_region_map, region_map_csv, region_map_svg
+
+
+def resolution(text: str) -> int:
+    """An integer resolution that ``emit_region_map`` accepts, or a usage error."""
+    value = int(text)
+    try:
+        check_resolution(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--resolution", type=int, default=64)
+    ap.add_argument("--resolution", type=resolution, default=64)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 

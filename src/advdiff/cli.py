@@ -39,7 +39,14 @@ from .library import (
     refinement_grids,
 )
 from .mollify import Mollifier, check_resolvable, dyadic_schedule
-from .regimes import classify_exponents, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
+from .regimes import (
+    check_resolution,
+    classify_exponents,
+    emit_region_map,
+    reciprocal_exponent,
+    region_map_csv,
+    region_map_svg,
+)
 from .solver import LQ_COLUMNS, REGISTERED_BETAS, SolverAbort, SolverConfig, Trajectory, beta_dissipation, solve
 
 __all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
@@ -344,6 +351,8 @@ def run_simulate(cfg: dict, threads: int):
     write_diag = _take(outputs_block, "diagnostics_csv", bool, default=True, context="outputs")
     write_snaps = _take(outputs_block, "snapshots", bool, default=False, context="outputs")
     _done(outputs_block, "outputs")
+    if not write_snaps:  # keep only the first and last state, which _heat_kernel_error reads
+        solver_cfg = SolverConfig(**{**vars(solver_cfg), "record_every": sys.maxsize})
 
     def compute():
         traj = solve(field, u0, solver_cfg)
@@ -423,6 +432,7 @@ def run_regime_map(cfg: dict, threads: int):
     d = _take(cfg, "d", int)
     inv_alpha = reciprocal_exponent(_take(cfg, "alpha", (int, float, str), default="inf"))
     resolution = _take(cfg, "resolution", int, default=64)
+    check_resolution(resolution)
 
     def compute():
         rm = emit_region_map(d, inv_alpha, resolution)

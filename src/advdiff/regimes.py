@@ -14,9 +14,12 @@ the equation has no meaning otherwise.
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from html import escape
+from itertools import groupby
 
 __all__ = [
     "RegimeQuery",
@@ -25,6 +28,7 @@ __all__ = [
     "classify",
     "classify_exponents",
     "reciprocal_exponent",
+    "check_resolution",
     "emit_region_map",
     "region_map_csv",
     "region_map_svg",
@@ -135,15 +139,20 @@ def classify(q: RegimeQuery) -> RegimeReport:
 
     Points with the same flags, tags and questions share one report object.
     """
-    return _row(q.d, q.inv_alpha, q.inv_p)(q.inv_q)
+    cell, _ = _row(q.d, q.inv_alpha, q.inv_p)
+    return cell(q.inv_q)
 
 
 def _row(d: int, inv_alpha: float, inv_p: float):
-    """The classifier of one row (d, 1/alpha, 1/p) of the square: a function of 1/q.
+    """The classifier of one row (d, 1/alpha, 1/p) of the square: ``(cell, cuts)``.
 
     The predicates that read only d, 1/alpha and 1/p are evaluated here, once;
-    the returned function evaluates those that involve 1/q.  The arguments are
-    not validated: ``RegimeQuery`` does that for public queries.
+    ``cell(inv_q)`` evaluates those that involve 1/q.  Each of those is a
+    threshold in 1/q, on 1/q itself or on 1/p + 1/q, and float addition
+    rounds monotonically, so on increasing ``inv_qs`` every one is constant
+    between the indices that ``cuts(inv_qs)`` returns.  Hence ``cell`` gives
+    the same report object for every 1/q between two consecutive cuts.  The
+    arguments are not validated: ``RegimeQuery`` does that for public queries.
     """
     cih1_threshold = (d + 2.0) / (2.0 * d)
     p_ge_2 = inv_p <= 0.5
@@ -178,7 +187,20 @@ def _row(d: int, inv_alpha: float, inv_p: float):
             questions += ("Q6",)
         return _report(flags, tags, questions)
 
-    return cell
+    def plus_p(inv_q: float) -> float:
+        return inv_p + inv_q  # cell's sum_pq, rounded the same way
+
+    def cuts(inv_qs: list[float]) -> tuple[int, ...]:
+        """The indices of increasing ``inv_qs`` at which a predicate of ``cell`` may change value."""
+        return (
+            bisect_left(inv_qs, 0.5),  # 1/q = 1/2 from here
+            bisect_right(inv_qs, 0.5),  # 1/q <= 1/2 up to here
+            bisect_right(inv_qs, 0.5, key=plus_p),  # 1/p + 1/q <= 1/2 up to here, > 1/2 from here
+            bisect_left(inv_qs, 1.0, key=plus_p),  # 1/p + 1/q < 1 up to here, = 1 from here
+            bisect_right(inv_qs, 1.0, key=plus_p),  # 1/p + 1/q <= 1 up to here
+        )
+
+    return cell, cuts
 
 
 @lru_cache(maxsize=None)  # finite key space: 5 chained flags, 3 tags, 6 questions
@@ -221,21 +243,68 @@ class RegionMap:
         return ((i + 0.5) / self.resolution, (j + 0.5) / self.resolution)
 
 
-def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
+# Bytes of one cell's CSV line and SVG <rect> line that no coordinate, label or colour shortens.
+_CELL_BYTES_FLOOR = len(",,0,0,0,0,0,-,-\n") + len('<rect x="" y="" width="" height="" fill=""/>\n')
+
+
+def check_resolution(resolution: int) -> None:
+    """Refuse a region-map resolution below 16, or one whose ``map.csv`` and
+    ``map.svg`` alone would not fit in physical memory."""
     if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+        raise ValueError(f"resolution must be >= 16, got {resolution}")
+    floor = _CELL_BYTES_FLOOR * resolution**2
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if floor > memory:
+        raise ValueError(
+            f"resolution {resolution}: the CSV and SVG of {resolution}^2 cells take at least "
+            f"{floor} bytes, more than the {memory} bytes of physical memory"
+        )
+
+
+def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
+    """The (1/p, 1/q) square at (d, 1/alpha), ``resolution`` cells per side.
+
+    Each row is built from its runs: the cell rule is evaluated once between
+    consecutive cuts of ``_row``, and the row repeats that report object, so
+    a row costs at most 6 evaluations, not ``resolution``.
+    """
+    check_resolution(resolution)
     RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=0.5, inv_q=0.5)  # validates d and 1/alpha, once
-    centers = [(i + 0.5) / resolution for i in range(resolution)]  # in (0, 1) by construction
-    reports = tuple(tuple(map(_row(d, inv_alpha, inv_p), centers)) for inv_p in centers)
-    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=reports)
+    centers = [(i + 0.5) / resolution for i in range(resolution)]  # increasing, in (0, 1) by construction
+    reports = []
+    for inv_p in centers:
+        cell, cuts = _row(d, inv_alpha, inv_p)
+        bounds = sorted({0, resolution, *cuts(centers)})
+        row: list[RegimeReport] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            row += [cell(centers[lo])] * (hi - lo)
+        reports.append(tuple(row))
+    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=tuple(reports))
+
+
+def _runs(row: tuple[RegimeReport, ...]):
+    """(start, stop, report) of each run of equal reports in ``row``.
+
+    The cells of a run share one report object, which compares equal to
+    itself without reading a field.
+    """
+    start = 0
+    for rep, run in groupby(row):
+        stop = start + len(tuple(run))
+        yield start, stop, rep
+        start = stop
 
 
 def region_map_csv(rm: RegionMap) -> str:
+    """One line per cell; the lines of a run of equal reports come from one join."""
     centers = [f"{(i + 0.5) / rm.resolution:.17g}" for i in range(rm.resolution)]
-    lines = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions"]
+    parts = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions\n"]
     for inv_p, row in zip(centers, rm.reports):
-        lines += [f"{inv_p},{inv_q},{rep.csv_fields}" for inv_q, rep in zip(centers, row)]
-    return "\n".join(lines) + "\n"
+        head = f"{inv_p},"
+        for start, stop, rep in _runs(row):
+            tail = f",{rep.csv_fields}\n"
+            parts += (head, (tail + head).join(centers[start:stop]), tail)
+    return "".join(parts)
 
 
 _PALETTE = (
@@ -256,9 +325,9 @@ def region_map_svg(rm: RegionMap) -> str:
     res = rm.resolution
     xs = [f'<rect x="{x0 + i * cell:.2f}"' for i in range(res)]
     ys = [f' y="{y0 + (res - 1 - j) * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="' for j in range(res)]
-    body = []
+    body = []  # the <rect> lines, each run of equal reports from one join
     for x, row in zip(xs, rm.reports):
-        for y, rep in zip(ys, row):
+        for start, stop, rep in _runs(row):
             label = rep.label
             color = labels.get(label)
             if color is None:
@@ -266,7 +335,8 @@ def region_map_svg(rm: RegionMap) -> str:
                 for sid, _ in rep.citations:
                     if sid not in used_statements:
                         used_statements.append(sid)
-            body.append(f'{x}{y}{color}"/>')
+            tail = f'{color}"/>\n'
+            body += (x, (tail + x).join(ys[start:stop]), tail)
 
     axes = [
         f'<rect x="{x0}" y="{y0}" width="{plot}" height="{plot}" fill="none" stroke="black"/>',
@@ -299,9 +369,8 @@ def region_map_svg(rm: RegionMap) -> str:
 
     height = max(y0 + plot + 60.0, ly + 20.0)
     width = lx + 620.0
-    return (
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'font-family="monospace" font-size="12">\n'
-        + "\n".join(body + axes + legend)
-        + "\n</svg>\n"
     )
+    return "".join([head, *body, "\n".join(axes + legend), "\n</svg>\n"])  # one copy of the body

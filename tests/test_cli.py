@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import advdiff.cli
 from advdiff.cli import (
     EXIT_GATES,
     EXIT_IO,
@@ -99,6 +100,39 @@ class TestSimulateCommand:
         for i, row in enumerate(rows):
             for name, cell in zip(names, row.split(","), strict=True):
                 assert float(cell) == diag[name][i], (name, i)
+
+    def test_diagnostics_only_run_holds_the_endpoints(self, tmp_path, monkeypatch):
+        # record_every defaults to 1, yet a run that publishes no snapshot keeps only step 0 and the last step
+        held = []
+
+        def capture(*args, **kwargs):
+            held.append(solve(*args, **kwargs))
+            return held[-1]
+
+        monkeypatch.setattr("advdiff.cli.solve", capture)
+        outs = {}
+        for snapshots in (False, True):
+            cfg = simulate_config(
+                grid={"dim": 2, "points_per_axis": 16},
+                field=None,  # pure diffusion: the heat-kernel gate reads the first and last state
+                solver={"t_final": 0.04, "dt": 1e-4},
+                outputs={"diagnostics_csv": True, "snapshots": snapshots},
+            )
+            outs[snapshots] = tmp_path / f"snapshots_{snapshots}"
+            assert main(["simulate", "--config", write_config(tmp_path, "sim.json", cfg), "--out", str(outs[snapshots])]) == EXIT_OK
+        lean, full = held
+        assert len(lean.states) == 2 and len(full.states) == 401
+        assert lean.times.tolist() == [full.times[0], full.times[-1]]
+        for kept, state in zip(lean.states, (full.states[0], full.states[-1])):
+            assert np.array_equal(kept.values, state.values)
+
+        manifests = {key: json.loads((out / "manifest.json").read_text()) for key, out in outs.items()}
+        assert manifests[False]["metrics"] == manifests[True]["metrics"]
+        assert manifests[False]["gates"] == manifests[True]["gates"]
+        assert (outs[False] / "diagnostics.csv").read_bytes() == (outs[True] / "diagnostics.csv").read_bytes()
+        assert sorted(p.name for p in outs[False].iterdir()) == ["diagnostics.csv", "manifest.json"]
+        snaps = sorted(p.name for p in outs[True].glob("snapshot_*.torf"))
+        assert snaps == [f"snapshot_{step:06d}.torf" for step in range(401)]
 
     def test_pure_diffusion_eigenmode_manifest_reports_heat_error(self, tmp_path):
         cfg = simulate_config(field=None)
@@ -553,12 +587,21 @@ BAD_CONFIGS = {
     ),
     "regime_d_zero": (["regime", "map"], {"kind": "regime-map", "d": 0, "resolution": 16}, "config error: dimension must be >= 1"),
     "regime_d_negative": (["regime", "map"], {"kind": "regime-map", "d": -1, "resolution": 16}, "config error: dimension must be >= 1"),
+    "regime_resolution_below_16": (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 8}, "config error: resolution must be >= 16, got 8"),
+    # at least 61 bytes of CSV and SVG per cell: 6.1e13 bytes, more than any physical memory
+    "regime_resolution_beyond_memory": (
+        ["regime", "map"],
+        {"kind": "regime-map", "d": 3, "resolution": 10**6},
+        "config error: resolution 1000000: the CSV and SVG of 1000000^2 cells take at least 61000000000000 bytes",
+    ),
 }
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-    def test_bad_config_exits_schema(self, tmp_path, capsys, case):
+    def test_bad_config_exits_schema(self, tmp_path, capsys, monkeypatch, case):
+        emit = advdiff.cli.emit_region_map  # a map past 64 cells per side here is a refused resolution that reached compute
+        monkeypatch.setattr("advdiff.cli.emit_region_map", lambda d, a, r: emit(d, a, r) if r <= 64 else pytest.fail(f"emitted {r}^2 cells"))
         command, cfg, fragment = BAD_CONFIGS[case]
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
@@ -581,6 +624,13 @@ class TestConfigValidation:
     def test_planar_field_on_dim_one_refused_before_compute(self, tmp_path, monkeypatch, case):
         for name in ("solve", "estimate_integrability", "convergence_study"):
             monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the dim check"))
+        command, cfg, _ = BAD_CONFIGS[case]
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("case", ["regime_resolution_below_16", "regime_resolution_beyond_memory"])
+    def test_regime_resolution_refused_before_compute(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr("advdiff.cli.emit_region_map", lambda *a, **k: pytest.fail("emitted a map before the resolution check"))
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA

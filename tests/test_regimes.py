@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 import oracles
+from advdiff import regimes
 from advdiff.regimes import (
     FLAG_NAMES,
     STATEMENTS,
@@ -205,11 +206,11 @@ class TestRegionMap:
         assert any("product_defined" in t for t in texts)
 
 
-@pytest.mark.parametrize("resolution", [16, 37, 64])
+@pytest.mark.parametrize("resolution", [16, 37, 64, 128])
 @pytest.mark.parametrize("inv_alpha", [0.0, 0.5, 2.0 / 3.0])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_region_map_outputs_match_per_cell_oracle(d, inv_alpha, resolution):
-    # resolution 37 gives a non-dyadic cell width (.2f rounding); d = 3 crosses DISTR
+    # resolution 37 gives a non-dyadic cell width (.2f rounding) and a cell centre on 1/2; d = 3 crosses DISTR
     rm = emit_region_map(d, inv_alpha, resolution)
     assert region_map_csv(rm) == oracles.region_map_csv(rm)
     assert region_map_svg(rm) == oracles.region_map_svg(rm)
@@ -243,6 +244,39 @@ def test_region_map_reports_match_per_cell_classifier(d, inv_alpha, resolution):
         for j in range(resolution):
             inv_p, inv_q = rm.cell_center(i, j)
             assert rm.reports[i][j].as_dict() == oracles.classify(d, inv_alpha, inv_p, inv_q).as_dict()
+
+
+def test_region_map_evaluates_the_cell_rule_per_run(monkeypatch):
+    # each row holds at most 6 runs of equal cells; one evaluation per cell would be 65,536
+    calls = []
+    row = regimes._row
+
+    def counting_row(*args):
+        cell, cuts = row(*args)
+
+        def counted(inv_q):
+            calls.append(inv_q)
+            return cell(inv_q)
+
+        return counted, cuts
+
+    monkeypatch.setattr(regimes, "_row", counting_row)
+    emit_region_map(3, 0.0, 256)
+    assert 256 <= len(calls) <= 8 * 256
+
+
+@hypothesis.given(
+    d=st.integers(min_value=1, max_value=4),
+    inv_alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    resolution=st.integers(min_value=16, max_value=96),
+)
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_region_map_by_runs_matches_per_cell_classifier(d, inv_alpha, resolution):
+    # odd resolutions put a cell centre on 1/q = 1/2 exactly, even ones reach 1/p + 1/q = 1
+    rm = emit_region_map(d, inv_alpha, resolution)
+    for i, row in enumerate(rm.reports):
+        for j, rep in enumerate(row):
+            assert rep.as_dict() == oracles.classify(d, inv_alpha, *rm.cell_center(i, j)).as_dict(), (i, j)
 
 
 @st.composite

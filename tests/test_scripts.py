@@ -41,3 +41,11 @@ def test_regime_figures_requires_out(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "usage:" in proc.stderr and "--out" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_regime_figures_refuses_small_resolution(tmp_path):
+    # refused while parsing the flags, before --out is made
+    proc = run_script(tmp_path, "regime_figures", ["--resolution", "8", "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "usage:" in proc.stderr and "resolution must be >= 16" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
