@@ -8,37 +8,33 @@ They run through ``run_config``, the one writer of files, which publishes the
 artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
+
+Importing this module loads no numpy or scipy: the numeric runners import
+them when they start, so the ``regime`` commands never do.  Imports and the
+manifest's version lookups happen before compute, never after it, because
+the objects they create live for the whole process and would otherwise pin
+the memory that compute has freed beneath them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
+import importlib
 import itertools
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 from . import __version__
-from .commutators import CommutatorStudyConfig, convergence_study
-from .fieldio import field_bytes
-from .grid import ScalarField, TorusGrid, wrapped_radius_sq
-from .library import (
-    FieldSpec,
-    catalog_entries,
-    check_dim,
-    estimate_integrability,
-    integrability_card,
-    refinement_grids,
-)
-from .mollify import Mollifier, check_resolvable, dyadic_schedule
+from .errors import SolverAbort
 from .regimes import (
     check_resolution,
     classify_exponents,
@@ -47,7 +43,6 @@ from .regimes import (
     region_map_csv,
     region_map_svg,
 )
-from .solver import LQ_COLUMNS, REGISTERED_BETAS, SolverAbort, SolverConfig, Trajectory, beta_dissipation, solve
 
 __all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
 
@@ -63,6 +58,50 @@ _NUMBER = (int, float)
 
 class SchemaError(ValueError):
     """Config does not match the strict schema."""
+
+
+# The names taken from modules that import numpy and scipy.  ``_load_numeric``
+# binds them here when a numeric command starts; reading one from outside
+# (a test patching ``advdiff.cli.solve``) binds them too.  A bound name is
+# never rebound, so such a patch holds.
+_NUMERIC = {
+    ".commutators": ("CommutatorStudyConfig", "convergence_study"),
+    ".fieldio": ("field_bytes",),
+    ".grid": ("ScalarField", "TorusGrid", "wrapped_radius_sq"),
+    ".library": ("FieldSpec", "catalog_entries", "check_dim", "estimate_integrability", "integrability_card", "refinement_grids"),
+    ".mollify": ("Mollifier", "check_resolvable", "dyadic_schedule"),
+    ".solver": ("LQ_COLUMNS", "REGISTERED_BETAS", "SolverConfig", "Trajectory", "beta_dissipation", "solve"),
+}
+
+
+def _load_numeric() -> None:
+    """Bind numpy as ``np`` and the names of ``_NUMERIC`` in this module, keeping any already bound."""
+    names = globals()
+    names.setdefault("np", importlib.import_module("numpy"))
+    for module, attrs in _NUMERIC.items():
+        owner = importlib.import_module(module, __package__)
+        for attr in attrs:
+            names.setdefault(attr, getattr(owner, attr))
+
+
+def __getattr__(name: str):
+    if name == "np" or any(name in attrs for attrs in _NUMERIC.values()):
+        _load_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@functools.cache
+def _versions() -> dict[str, str]:
+    """The manifest's versions, read from the installed distributions once per process."""
+    import importlib.metadata  # numpy imports it anyway; the regime commands need it only here
+
+    return {
+        "advdiff": __version__,
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+        "python": sys.version.split()[0],
+    }
 
 
 # ----------------------------------------------------------------- schema --
@@ -117,6 +156,17 @@ def _parse_grid(block, context="grid") -> TorusGrid:
     n = _take(block, "points_per_axis", int, context=context)
     _done(block, context)
     return TorusGrid(dim, n)
+
+
+def _check_fits(grid: TorusGrid, arrays: int) -> None:
+    """Refuse a grid on which ``arrays`` float64 arrays of its size would not fit in physical memory."""
+    need = 8 * arrays * grid.size
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise SchemaError(
+            f"grid: {arrays} state-sized arrays at N={grid.points_per_axis} in {grid.dim}D take about "
+            f"{need} bytes, more than the {memory} bytes of physical memory"
+        )
 
 
 def _parse_field(block, dim: int, context="field") -> FieldSpec | None:
@@ -265,6 +315,7 @@ def _publish(out_dir: Path, files: dict[str, str | bytes]) -> None:
 
 def _manifest(
     raw_config: dict,
+    versions: dict[str, str],
     grid: TorusGrid | None,
     tolerances: dict,
     gates: dict[str, bool],
@@ -276,12 +327,7 @@ def _manifest(
     doc = {
         "config": raw_config,
         "config_sha256": _config_hash(raw_config),
-        "versions": {
-            "advdiff": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": versions,
         "grid": None if grid is None else {"dim": grid.dim, "points_per_axis": grid.points_per_axis},
         "tolerances": tolerances,
         "gates": gates,
@@ -309,6 +355,11 @@ def _diagnostics_csv(traj: Trajectory) -> str:
 
 # Roundoff slack of the a-priori gates, which check exact inequalities; the manifest records it.
 _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, "mean_drift": 1e-12}
+
+
+# State-sized arrays that a solve holds at once, about: the two integrating
+# factors, the RK4 stages and their temporaries.
+_SIMULATE_STATE_ARRAYS = 12
 
 
 def _simulate_gates(traj: Trajectory) -> dict[str, bool]:
@@ -340,7 +391,9 @@ def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
 
 def run_simulate(cfg: dict, threads: int):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
+    _load_numeric()
     grid = _parse_grid(_take(cfg, "grid", dict))
+    _check_fits(grid, _SIMULATE_STATE_ARRAYS)
     field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None), grid.dim)
     if field is not None and field.time_dependent and field.param("modulation_exponent") > 0.0:  # |b(t)| ~ t^-beta
         raise SchemaError(f"field: {field.name} with modulation_exponent > 0 is singular at t = 0, where simulate starts")
@@ -352,7 +405,7 @@ def run_simulate(cfg: dict, threads: int):
     write_snaps = _take(outputs_block, "snapshots", bool, default=False, context="outputs")
     _done(outputs_block, "outputs")
     if not write_snaps:  # keep only the first and last state, which _heat_kernel_error reads
-        solver_cfg = SolverConfig(**{**vars(solver_cfg), "record_every": sys.maxsize})
+        solver_cfg = dataclasses.replace(solver_cfg, record_every=sys.maxsize)
 
     def compute():
         traj = solve(field, u0, solver_cfg)
@@ -380,6 +433,7 @@ def run_simulate(cfg: dict, threads: int):
 
 def run_commutator(cfg: dict, threads: int):
     """``commutator``: the kernel-scale decay study of the commutator norm."""
+    _load_numeric()
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", dict), grid.dim)
     w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg), band=grid.points_per_axis // 2 - 1, context="w")  # below Nyquist
@@ -444,6 +498,7 @@ def run_regime_map(cfg: dict, threads: int):
 
 def run_field_audit(cfg: dict, threads: int):
     """``fields audit``: gate quadrature trends of the integral of |b|^p against the card."""
+    _load_numeric()
     dim = _take(cfg, "dim", int, default=2)
     field = _parse_field(_take(cfg, "field", dict), dim)
     p_values = [float(p) for p in _take_list(cfg, "p_values", _NUMBER)]
@@ -488,6 +543,7 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     """
     if threads < 1:
         raise SchemaError(f"threads must be >= 1, got {threads}")
+    versions = _versions()  # here, not in _manifest: see the module docstring
     kind, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
     cfg = dict(raw)
@@ -502,7 +558,7 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     wall = time.perf_counter() - start
 
     files = render()
-    files["manifest.json"] = _manifest(raw, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
+    files["manifest.json"] = _manifest(raw, versions, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
     _publish(out_dir, files)
     return gates, out_dir
 
@@ -574,6 +630,7 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     if args.command == "fields" and args.fields_command == "list":
+        _load_numeric()
         sys.stdout.write(_fields_list_text())
         return EXIT_OK
     if args.command == "regime" and args.regime_command == "classify":

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SolverAbort
 from .grid import ScalarField, TorusGrid, VectorField, lp_from_values
 from .library import FieldSpec, instantiate, integrability_card, sample_key
 from .mollify import Mollifier, check_profile, mollify
@@ -25,7 +26,6 @@ from .spectral import gradient, laplacian, spectral_core
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "SolverAbort",
     "VelocitySampler",
     "ConvexFunction",
     "HALF_SQUARE",
@@ -51,16 +51,6 @@ def _is_rough(b) -> bool:
     if not isinstance(b, FieldSpec):
         return False
     return not math.isinf(integrability_card(b).p_finite_below)
-
-
-class SolverAbort(RuntimeError):
-    """Numerical abort: CFL violation or non-finite state, with step context."""
-
-    def __init__(self, step: int, time: float, reason: str):
-        super().__init__(f"solver aborted at step {step} (t={time:.6g}): {reason}")
-        self.step = step
-        self.time = time
-        self.reason = reason
 
 
 @dataclass(frozen=True)

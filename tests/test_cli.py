@@ -635,6 +635,18 @@ class TestConfigValidation:
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
+    def test_simulate_grid_beyond_memory_refused_before_datum(self, tmp_path, monkeypatch, capsys):
+        # 12 float64 arrays of 2048^3 values take 8.2e11 bytes; the datum alone would be 6.9e10
+        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a grid beyond memory"))
+        monkeypatch.setattr("advdiff.cli._parse_scalar_datum", lambda *a, **k: pytest.fail("allocated the datum of a grid beyond memory"))
+        cfg = simulate_config(grid={"dim": 3, "points_per_axis": 2048}, initial_datum={"kind": "sine", "mode": [0, 1, 0]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: 12 state-sized arrays at N=2048 in 3D take about 824633720832 bytes")
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_modulated_shear_simulate_refused_before_compute(self, tmp_path, monkeypatch):
         monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a field singular at t = 0"))
         command, cfg, _ = BAD_CONFIGS["modulated_shear_simulate"]
@@ -817,6 +829,22 @@ def test_readme_config_examples_parse(tmp_path, monkeypatch, cfg):
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     with pytest.raises(_ReachedCompute):
         main([*KIND_COMMANDS[cfg["kind"]], "--config", cfg_path, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [(["simulate"], simulate_config()), (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 16})],
+    ids=["simulate", "regime_map"],
+)
+def test_manifest_versions_are_the_imported_libraries(tmp_path, argv, cfg):
+    # the manifest reads the versions from the installed distributions, without importing numpy or scipy
+    import scipy
+
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_OK
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
 
 
 def test_readme_shows_a_config_of_every_kind():

@@ -19,9 +19,9 @@ SOURCES = sorted((ROOT / "src" / "advdiff").glob("*.py")) + sorted((ROOT / "scri
 
 
 def loaded_modules(statement: str) -> set[str]:
-    """The keys of ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    """The keys of ``sys.modules`` after ``statement`` runs, its stdout discarded, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"{statement}; import sys; print('\\n'.join(sys.modules))"
+    code = f"import contextlib, io, sys\nwith contextlib.redirect_stdout(io.StringIO()):\n    {statement}\nprint('\\n'.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     return set(proc.stdout.split())
 
@@ -29,6 +29,23 @@ def loaded_modules(statement: str) -> set[str]:
 def test_regimes_imports_no_numeric_stack():
     loaded = {name.split(".")[0] for name in loaded_modules("import advdiff.regimes")}
     assert not loaded & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import advdiff.cli",
+        "from advdiff.cli import main; assert main(['regime', 'classify', '--d', '3', '--p', '2', '--q', '4']) == 0",
+        "from advdiff.cli import main; assert main(['regime', 'map', '--config', {config!r}, '--out', {out!r}]) == 0",
+    ],
+    ids=["import", "regime_classify", "regime_map"],
+)
+def test_cli_regime_paths_load_no_numeric_stack(tmp_path, statement):
+    config = tmp_path / "map.json"
+    config.write_text('{"kind": "regime-map", "d": 3, "resolution": 16}')
+    loaded = loaded_modules(statement.format(config=str(config), out=str(tmp_path / "out")))
+    assert {name.split(".")[0] for name in loaded} & {"numpy", "scipy"} == set()
+    assert "advdiff.cli" in loaded
 
 
 @pytest.mark.parametrize(
@@ -42,12 +59,6 @@ def test_regimes_imports_no_numeric_stack():
 )
 def test_import_leaves_out(module, unwanted):
     assert not loaded_modules(f"import {module}") & unwanted
-
-
-def test_cli_imports_every_module():
-    package = {"advdiff"} | {f"advdiff.{m.name}" for m in pkgutil.iter_modules(advdiff.__path__)}
-    loaded = {name for name in loaded_modules("import advdiff.cli") if name.split(".")[0] == "advdiff"}
-    assert loaded == package
 
 
 def advdiff_imports(path: Path):
@@ -71,6 +82,14 @@ def test_imported_names_are_public_in_their_owner():
         for owner, name in advdiff_imports(path):
             if not name.startswith("_") and name not in getattr(importlib.import_module(owner), "__all__", ()):
                 stray.append(f"{path.name}: {owner}.{name}")
+    assert stray == []
+
+
+def test_cli_numeric_names_are_public_in_their_owner():
+    from advdiff.cli import _NUMERIC  # the names cli binds on first use, which no import statement names
+
+    stray = [f"advdiff{module}.{name}" for module, names in _NUMERIC.items() for name in names
+             if name not in importlib.import_module(f"advdiff{module}").__all__]
     assert stray == []
 
 
@@ -144,8 +163,11 @@ def opens_for_writing(call: ast.Call) -> bool:
     return not isinstance(modes[0], ast.Constant) or any(c in str(modes[0].value) for c in "wax+")
 
 
-def file_writes(path: Path):
-    """(top-level function, line) of every call in ``path`` that writes to the file system."""
+def file_writes(source: str):
+    """(top-level function, line) of every call in ``source`` that writes to the file system.
+
+    ``dataclasses.replace`` copies a dataclass; every other ``replace`` attribute call counts.
+    """
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
@@ -153,18 +175,34 @@ def file_writes(path: Path):
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if (isinstance(func, ast.Attribute) and func.attr in WRITE_CALLS) or opens_for_writing(child):
+                copies = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "dataclasses"
+                if (isinstance(func, ast.Attribute) and func.attr in WRITE_CALLS and not copies) or opens_for_writing(child):
                     yield owner, child.lineno
             yield from walk(child, owner)
 
-    yield from walk(ast.parse(path.read_text()), None)
+    yield from walk(ast.parse(source), None)
+
+
+@pytest.mark.parametrize(
+    "call, writes",
+    [
+        ("path.replace(target)", True),
+        ("os.replace(a, b)", True),
+        ("path.with_suffix('.tmp').replace(path)", True),
+        ("dataclasses.replace(cfg, x=1)", False),
+        ("open(path)", False),
+        ("open(path, 'a')", True),
+    ],
+)
+def test_file_writes_guard(call, writes):
+    assert list(file_writes(f"def f():\n    {call}\n")) == ([("f", 2)] if writes else [])
 
 
 def test_publish_is_the_only_writer():
     strays = [
         f"{path.name}:{line} in {owner}"
         for path in sorted((ROOT / "src" / "advdiff").glob("*.py"))
-        for owner, line in file_writes(path)
+        for owner, line in file_writes(path.read_text())
         if (path.name, owner) != ("cli.py", "_publish")
     ]
     assert strays == []

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from advdiff.errors import SolverAbort
 from advdiff.grid import ScalarField, TorusGrid, lp_norm
 from advdiff.library import FieldSpec, instantiate
 from advdiff.solver import (
     ARCTAN_PRIMITIVE,
     HALF_SQUARE,
     ConvexFunction,
-    SolverAbort,
     SolverConfig,
     TestFunction,
     _cumulative_simpson,
