@@ -10,17 +10,16 @@ per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
 
 Importing this module loads no numpy or scipy: the numeric runners import
-them when they start, so the ``regime`` commands never do.  Imports and the
-manifest's version lookups happen before compute, never after it, because
-the objects they create live for the whole process and would otherwise pin
-the memory that compute has freed beneath them.
+them when they start, so the ``regime`` commands never do.  Imports happen
+before compute, never after it, because the objects they create live for
+the whole process and would otherwise pin the memory that compute has freed
+beneath them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import importlib
 import itertools
@@ -91,19 +90,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@functools.cache
-def _versions() -> dict[str, str]:
-    """The manifest's versions, read from the installed distributions once per process."""
-    import importlib.metadata  # numpy imports it anyway; the regime commands need it only here
-
-    return {
-        "advdiff": __version__,
-        "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
-        "python": sys.version.split()[0],
-    }
-
-
 # ----------------------------------------------------------------- schema --
 
 
@@ -158,13 +144,13 @@ def _parse_grid(block, context="grid") -> TorusGrid:
     return TorusGrid(dim, n)
 
 
-def _check_fits(grid: TorusGrid, arrays: int) -> None:
+def _check_fits(grid: TorusGrid, arrays: int, context: str = "grid") -> None:
     """Refuse a grid on which ``arrays`` float64 arrays of its size would not fit in physical memory."""
     need = 8 * arrays * grid.size
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise SchemaError(
-            f"grid: {arrays} state-sized arrays at N={grid.points_per_axis} in {grid.dim}D take about "
+            f"{context}: {arrays} state-sized arrays at N={grid.points_per_axis} in {grid.dim}D take about "
             f"{need} bytes, more than the {memory} bytes of physical memory"
         )
 
@@ -357,9 +343,15 @@ def _diagnostics_csv(traj: Trajectory) -> str:
 _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, "mean_drift": 1e-12}
 
 
-# State-sized arrays that a solve holds at once, about: the two integrating
-# factors, the RK4 stages and their temporaries.
+# State-sized arrays that a run holds at once, about.  A solve: the two
+# integrating factors, the RK4 stages and their temporaries.  Besides b's d
+# components, a commutator study: w, the coefficients of w and of b . grad w,
+# and one level's first term, filtered advection, its inverse transform and
+# remainder; a field audit on its finest grid: |b|, the sum of squares and
+# the square it adds.
 _SIMULATE_STATE_ARRAYS = 12
+_COMMUTATOR_STATE_ARRAYS = 7
+_AUDIT_STATE_ARRAYS = 3
 
 
 def _simulate_gates(traj: Trajectory) -> dict[str, bool]:
@@ -435,6 +427,7 @@ def run_commutator(cfg: dict, threads: int):
     """``commutator``: the kernel-scale decay study of the commutator norm."""
     _load_numeric()
     grid = _parse_grid(_take(cfg, "grid", dict))
+    _check_fits(grid, grid.dim + _COMMUTATOR_STATE_ARRAYS)
     field = _parse_field(_take(cfg, "field", dict), grid.dim)
     w = _parse_scalar_datum(_take(cfg, "w", dict), grid, _rng(cfg), band=grid.points_per_axis // 2 - 1, context="w")  # below Nyquist
     study = dict(_take(cfg, "study", dict))
@@ -507,7 +500,7 @@ def run_field_audit(cfg: dict, threads: int):
     if len({f"{p:g}" for p in p_values}) < len(p_values):  # one gate per p, named by p:g
         raise SchemaError(f"config.p_values: repeated p (to 6 significant digits) in {p_values}")
     resolutions = _take_list(cfg, "resolutions", int)
-    refinement_grids(resolutions, dim)
+    _check_fits(refinement_grids(resolutions, dim)[-1], dim + _AUDIT_STATE_ARRAYS, context="resolutions")
 
     def compute():
         card = integrability_card(field)
@@ -543,7 +536,6 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     """
     if threads < 1:
         raise SchemaError(f"threads must be >= 1, got {threads}")
-    versions = _versions()  # here, not in _manifest: see the module docstring
     kind, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
     cfg = dict(raw)
@@ -552,6 +544,10 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     grid, tolerances, compute = runner(cfg, threads)
     _done(cfg, "config")
     _check_target(out_dir)
+    # The versions of what the command computes with; the numeric runners have imported numpy and scipy.
+    versions = {"advdiff": __version__, "python": sys.version.split()[0]}
+    if kind != "regime-map":
+        versions |= {"numpy": np.__version__, "scipy": importlib.import_module("scipy").__version__}
 
     start = time.perf_counter()
     gates, metrics, render = compute()

@@ -647,6 +647,34 @@ class TestConfigValidation:
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            # 3 + 7 float64 arrays of 2048^3 values take 6.9e11 bytes
+            (
+                ["commutator"],
+                dict(small_commutator_config(), grid={"dim": 3, "points_per_axis": 2048}),
+                "config error: grid: 10 state-sized arrays at N=2048 in 3D take about 687194767360 bytes",
+            ),
+            # 3 + 3 arrays at the finest of the resolutions: 4.1e11 bytes
+            (
+                ["fields", "audit"],
+                audit_config(dim=3, resolutions=[16, 64, 2048]),
+                "config error: resolutions: 6 state-sized arrays at N=2048 in 3D take about 412316860416 bytes",
+            ),
+        ],
+        ids=["commutator", "fields_audit"],
+    )
+    def test_study_grid_beyond_memory_refused_while_parsing(self, tmp_path, monkeypatch, capsys, command, cfg, message):
+        for name in ("convergence_study", "_parse_scalar_datum", "estimate_integrability"):
+            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("reached a grid beyond memory"))
+        out = tmp_path / "out"
+        assert main([*command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_modulated_shear_simulate_refused_before_compute(self, tmp_path, monkeypatch):
         monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a field singular at t = 0"))
         command, cfg, _ = BAD_CONFIGS["modulated_shear_simulate"]
@@ -833,18 +861,26 @@ def test_readme_config_examples_parse(tmp_path, monkeypatch, cfg):
 
 @pytest.mark.parametrize(
     "argv, cfg",
-    [(["simulate"], simulate_config()), (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 16})],
-    ids=["simulate", "regime_map"],
+    [
+        (["simulate"], simulate_config()),
+        (["commutator"], small_commutator_config()),
+        (["fields", "audit"], audit_config()),
+        (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 16}),
+    ],
+    ids=["simulate", "commutator", "fields_audit", "regime_map"],
 )
 def test_manifest_versions_are_the_imported_libraries(tmp_path, argv, cfg):
-    # the manifest reads the versions from the installed distributions, without importing numpy or scipy
+    # the versions of what the command computes with, read from the loaded modules
     import scipy
 
     out = tmp_path / "out"
     assert main([*argv, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_OK
     versions = json.loads((out / "manifest.json").read_text())["versions"]
-    assert versions["numpy"] == np.__version__
-    assert versions["scipy"] == scipy.__version__
+    if argv == ["regime", "map"]:  # numpy and scipy are loaded in this process, but the map uses neither
+        assert set(versions) == {"advdiff", "python"}
+    else:
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
 
 
 def test_readme_shows_a_config_of_every_kind():

@@ -45,6 +45,7 @@ def test_cli_regime_paths_load_no_numeric_stack(tmp_path, statement):
     config.write_text('{"kind": "regime-map", "d": 3, "resolution": 16}')
     loaded = loaded_modules(statement.format(config=str(config), out=str(tmp_path / "out")))
     assert {name.split(".")[0] for name in loaded} & {"numpy", "scipy"} == set()
+    assert "importlib.metadata" not in loaded  # the regime map manifest names advdiff and python only
     assert "advdiff.cli" in loaded
 
 
@@ -196,6 +197,30 @@ def file_writes(source: str):
 )
 def test_file_writes_guard(call, writes):
     assert list(file_writes(f"def f():\n    {call}\n")) == ([("f", 2)] if writes else [])
+
+
+def imports_of(source: str) -> set[str]:
+    """The absolute module names that ``source`` imports, ``from`` imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imports_of_guard():
+    source = "import importlib\nimport importlib.metadata as md\nfrom importlib import metadata\nfrom . import grid\n"
+    assert imports_of(source) == {"importlib", "importlib.metadata"}
+
+
+def test_no_module_reads_distribution_metadata():
+    # the manifest reads __version__ from loaded modules; scipy.fft loads importlib.metadata anyway,
+    # so only the source shows a numeric command starting to scan sys.path for versions again
+    strays = [path.name for path in sorted((ROOT / "src" / "advdiff").glob("*.py")) if "importlib.metadata" in imports_of(path.read_text())]
+    assert strays == []
 
 
 def test_publish_is_the_only_writer():
