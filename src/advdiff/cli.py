@@ -11,9 +11,9 @@ per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 
 Importing this module loads no numpy or scipy: the numeric runners import
 them when they start, so the ``regime`` commands never do.  Imports happen
-before compute, and publishing leaves no object behind, because an object
-that lives for the whole process, made after compute, pins the memory that
-compute has freed beneath it.
+before compute, never after it, because the objects they create live for
+the whole process and would otherwise pin the memory that compute has freed
+beneath them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -277,9 +278,7 @@ def _publish(out_dir: Path, files: dict[str, str | bytes]) -> None:
     """
     _check_target(out_dir)  # again: the directory may have changed during the compute
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    # Not tempfile.mkdtemp: its first call makes a Random that lives for the process (see the module docstring).
-    stage = out_dir.parent / f".tmp-run-{os.urandom(8).hex()}"
-    stage.mkdir(mode=0o700)
+    stage = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out_dir.parent))
     try:
         new, old = stage / "run", stage / "previous"
         new.mkdir()
