@@ -74,17 +74,18 @@ _NUMERIC = {
 
 
 def _load_numeric() -> None:
-    """Bind numpy as ``np`` and the names of ``_NUMERIC`` in this module, keeping any already bound."""
+    """Bind numpy as ``np``, ``scipy`` and the names of ``_NUMERIC`` in this module, keeping any already bound."""
     names = globals()
     names.setdefault("np", importlib.import_module("numpy"))
     for module, attrs in _NUMERIC.items():
         owner = importlib.import_module(module, __package__)
         for attr in attrs:
             names.setdefault(attr, getattr(owner, attr))
+    names.setdefault("scipy", importlib.import_module("scipy"))  # loaded by now, through the solver's scipy.fft
 
 
 def __getattr__(name: str):
-    if name == "np" or any(name in attrs for attrs in _NUMERIC.values()):
+    if name in ("np", "scipy") or any(name in attrs for attrs in _NUMERIC.values()):
         _load_numeric()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -348,7 +349,10 @@ _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, 
 # components, a commutator study: w, the coefficients of w and of b . grad w,
 # and one level's first term, filtered advection, its inverse transform and
 # remainder; a field audit on its finest grid: |b|, the sum of squares and
-# the square it adds.
+# the square it adds.  The study and audit counts are lower bounds, met by
+# fields built in place such as ``constant``: building ``power_singularity``
+# holds 2-5 times as many, so the check refuses only grids that cannot hold
+# even the minimum working set.
 _SIMULATE_STATE_ARRAYS = 12
 _COMMUTATOR_STATE_ARRAYS = 7
 _AUDIT_STATE_ARRAYS = 3
@@ -547,7 +551,7 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     # The versions of what the command computes with; the numeric runners have imported numpy and scipy.
     versions = {"advdiff": __version__, "python": sys.version.split()[0]}
     if kind != "regime-map":
-        versions |= {"numpy": np.__version__, "scipy": importlib.import_module("scipy").__version__}
+        versions |= {"numpy": np.__version__, "scipy": scipy.__version__}
 
     start = time.perf_counter()
     gates, metrics, render = compute()
