@@ -348,11 +348,9 @@ _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, 
 # integrating factors, the RK4 stages and their temporaries.  Besides b's d
 # components, a commutator study: w, the coefficients of w and of b . grad w,
 # and one level's first term, filtered advection, its inverse transform and
-# remainder; a field audit on its finest grid: |b|, the sum of squares and
-# the square it adds.  The study and audit counts are lower bounds, met by
-# fields built in place such as ``constant``: building ``power_singularity``
-# holds 2-5 times as many, so the check refuses only grids that cannot hold
-# even the minimum working set.
+# remainder; a field audit on its finest grid: |b|, the sum of squares and the
+# square it adds.  The study and audit counts are lower bounds: ``power_singularity``
+# holds 2-5 times as many, so only grids below the minimum working set are refused.
 _SIMULATE_STATE_ARRAYS = 12
 _COMMUTATOR_STATE_ARRAYS = 7
 _AUDIT_STATE_ARRAYS = 3
