@@ -166,13 +166,28 @@ def _smoothstep(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _planar_geometry(grid: TorusGrid):
-    """Wrapped in-plane displacement from the cell center and its radius."""
-    coords = grid.coordinate_mesh()
-    disp = wrapped_displacement(coords[:2], [0.5, 0.5])
-    w1 = np.broadcast_to(disp[0], grid.shape)
-    w2 = np.broadcast_to(disp[1], grid.shape)
+    """Wrapped displacement from the cell center and its radius, on the grid's (x1, x2) plane.
+
+    The planar entries do not depend on x3, so in 3D every radial-profile
+    array spans N^2 points and only the finished arrays go through
+    ``_columns``.
+    """
+    plane = TorusGrid(2, grid.points_per_axis)
+    disp = wrapped_displacement(plane.coordinate_mesh(), [0.5, 0.5])
+    w1 = np.broadcast_to(disp[0], plane.shape)
+    w2 = np.broadcast_to(disp[1], plane.shape)
     r = np.sqrt(w1 * w1 + w2 * w2)
     return w1, w2, r
+
+
+def _columns(plane: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """A fresh (x1, x2)-plane array as a read-only grid array: itself in 2D, repeated along x3 in 3D.
+
+    Read-only, so ``ScalarField`` keeps it without a copy.
+    """
+    out = plane if grid.dim == 2 else np.repeat(plane[..., np.newaxis], grid.points_per_axis, axis=2)
+    out.flags.writeable = False
+    return out
 
 
 def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
@@ -214,15 +229,22 @@ def _build_rotation_bump(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorFi
     radius = spec.param("radius")
     _, _, r = _planar_geometry(grid)
     t_sq = (r / radius) ** 2
-    psi = np.zeros(grid.shape)
+    psi = np.zeros(r.shape)
     inside = t_sq < 1.0
     psi[inside] = spec.param("amplitude") * np.exp(-1.0 / (1.0 - t_sq[inside]))
-    return perp_gradient(ScalarField(grid, psi))
+    return perp_gradient(ScalarField(grid, _columns(psi, grid)))
 
 
-def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
+def _power_profile(spec: FieldSpec, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planar displacement (w1, w2) and the factor with power_singularity = factor * (-w2, w1).
+
+    b = psi'(r) e_theta with psi = A chi(r) (r^(2-a) - r2^(2-a)).  The
+    constant shift makes psi vanish at the support edge, so the cutoff
+    contributes no large azimuthal speed and |b| ~ r^(1-a) rules the
+    integral all the way out; the factor is psi'(r)/r.  Every other profile
+    array is freed on return.
+    """
     a = spec.param("exponent")
-    amp = spec.param("amplitude")
     r2 = spec.param("cutoff_radius")
     r1 = 0.7 * r2
     w1, w2, r = _planar_geometry(grid)
@@ -230,23 +252,23 @@ def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> Vect
     step, dstep = _smoothstep((r - r1) / (r2 - r1))
     chi = 1.0 - step
     dchi = -dstep / (r2 - r1)
+    del step, dstep  # not held through the factor's temporaries, which set the builder's peak
 
-    # b = psi'(r) e_theta with psi = A chi(r) (r^(2-a) - r2^(2-a)).  The
-    # constant shift makes psi vanish at the support edge, so the cutoff
-    # contributes no large azimuthal speed and |b| ~ r^(1-a) rules the
-    # integral all the way out; the factor below is psi'(r)/r so the
-    # components are factor * (-w2, w1).
     safe_r = np.where(r > 0.0, r, 1.0)
     shifted = safe_r ** (2.0 - a) - r2 ** (2.0 - a)
-    factor = amp * (dchi * shifted / safe_r + (2.0 - a) * chi * safe_r**-a)
-    factor = np.where(r > 0.0, factor, 0.0)
+    factor = spec.param("amplitude") * (dchi * shifted / safe_r + (2.0 - a) * chi * safe_r**-a)
+    return w1, w2, np.where(r > 0.0, factor, 0.0)
 
-    comps = [-factor * w2, factor * w1]
+
+def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
+    w1, w2, factor = _power_profile(spec, grid)
+    comps = [_columns(-factor * w2, grid), _columns(factor * w1, grid)]
     if grid.dim == 3:
-        comps.append(np.zeros(grid.shape))
+        comps.append(_columns(np.zeros(factor.shape), grid))
     raw = VectorField.from_arrays(grid, comps)
     projected = leray_project(raw)
 
+    a = spec.param("exponent")
     notes = []
     if a >= 1.0:
         notes.append(f"singular peak truncated at the grid scale (exponent={a}, N={grid.points_per_axis})")

@@ -165,5 +165,8 @@ def leray_project(v: VectorField) -> VectorField:
     ksq = core.derivative_ksq
     ksq = np.where(ksq == 0.0, 1.0, ksq)  # mean mode and pure-Nyquist planes: invisible to derivatives
     dot = sum(k * h for k, h in zip(ks, hats)) / ksq
-    comps = [core.inverse(h - k * dot) for k, h in zip(ks, hats)]
+    for k, h in zip(ks, hats):
+        h -= k * dot
+    del dot  # before the inverses allocate their outputs
+    comps = [_frozen(core.inverse(h)) for h in hats]
     return VectorField.from_arrays(grid, comps, divergence_free=True, notes=v.notes)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ def count_calls(monkeypatch, target: str) -> list:
 
     monkeypatch.setattr(target, counted)
     return calls
+
+
+def peak_state_arrays(fn, grid: TorusGrid) -> float:
+    """Peak traced memory of one ``fn()`` call, in state-sized float64 arrays (``8 * grid.size`` bytes).
+
+    ``fn`` is called twice and only the second call is measured, so the
+    caches the first fills (spectral cores, kernel multipliers) do not
+    count.  tracemalloc sees the arrays numpy allocates, not pocketfft's
+    internal C++ buffers, so the transforms' own scratch space is missing.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * grid.size)
 
 
 @pytest.fixture

@@ -25,6 +25,13 @@ The time quadratures here are scipy's ``simpson`` and
 ``cumulative_simpson``, imported for this purpose alone: ``advdiff.solver``
 ports both to numpy and must equal them bit for bit.
 
+The catalog builders here are the full-grid forms of ``power_singularity``
+and ``rotation_bump``: every radial-profile temporary spans the whole grid,
+and the singular field keeps its raw components through a half-spectrum
+Leray projection that subtracts out of place and copies what it returns.
+They share the package's spectral core and ``perp_gradient`` but not its
+smoothstep, so the package's builders must equal them bit for bit.
+
 Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
 package's cached kernel samples as a field, and ``lq_dissipation_check``
 reads the worst increase of an L^q norm off a trajectory's records.
@@ -41,13 +48,13 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig, CouplingRecord
 from advdiff.commutators import commutator as package_commutator
-from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
+from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm, wrapped_displacement
 from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import Mollifier, _kernel_values
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
 from advdiff.solver import LQ_COLUMNS, Trajectory
-from advdiff.spectral import spectral_core
+from advdiff.spectral import perp_gradient, spectral_core
 
 
 def geodesic_distance(x, y) -> float:
@@ -118,6 +125,87 @@ def leray_project(components, grid: TorusGrid) -> list[np.ndarray]:
     ksq[ksq == 0.0] = 1.0
     dot = sum(k * h for k, h in zip(ks, hats)) / ksq
     return [np.fft.ifftn(h - k * dot).real for k, h in zip(ks, hats)]
+
+
+def smoothstep(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C-infinity step rising 0 -> 1 on [0,1] and its derivative."""
+    s = np.zeros_like(t)
+    ds = np.zeros_like(t)
+    s[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    g = np.exp(-1.0 / tm)
+    h = np.exp(-1.0 / (1.0 - tm))
+    denom = g + h
+    s[mid] = g / denom
+    dg = g / tm**2
+    dh = h / (1.0 - tm) ** 2
+    ds[mid] = (dg * h + g * dh) / denom**2
+    return s, ds
+
+
+def full_grid_geometry(grid: TorusGrid):
+    """Wrapped in-plane displacement from the cell center and its radius, each spanning the whole grid."""
+    coords = grid.coordinate_mesh()
+    disp = wrapped_displacement(coords[:2], [0.5, 0.5])
+    w1 = np.broadcast_to(disp[0], grid.shape)
+    w2 = np.broadcast_to(disp[1], grid.shape)
+    return w1, w2, np.sqrt(w1 * w1 + w2 * w2)
+
+
+def half_spectrum_leray_project(v: VectorField) -> VectorField:
+    """The package's Leray projection with an out-of-place subtraction and copied outputs (dim >= 2)."""
+    grid = v.grid
+    core = spectral_core(grid)
+    ks = core.wavenumbers
+    hats = [core.forward(c.values) for c in v.components]
+    ksq = core.derivative_ksq
+    ksq = np.where(ksq == 0.0, 1.0, ksq)
+    dot = sum(k * h for k, h in zip(ks, hats)) / ksq
+    comps = [core.inverse(h - k * dot) for k, h in zip(ks, hats)]
+    return VectorField.from_arrays(grid, comps, divergence_free=True, notes=v.notes)
+
+
+def power_singularity(spec: FieldSpec, grid: TorusGrid) -> VectorField:
+    """The catalog's power_singularity, projected, with the notes ``instantiate`` gives it."""
+    a = spec.param("exponent")
+    amp = spec.param("amplitude")
+    r2 = spec.param("cutoff_radius")
+    r1 = 0.7 * r2
+    w1, w2, r = full_grid_geometry(grid)
+    step, dstep = smoothstep((r - r1) / (r2 - r1))
+    chi = 1.0 - step
+    dchi = -dstep / (r2 - r1)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    shifted = safe_r ** (2.0 - a) - r2 ** (2.0 - a)
+    factor = amp * (dchi * shifted / safe_r + (2.0 - a) * chi * safe_r**-a)
+    factor = np.where(r > 0.0, factor, 0.0)
+    comps = [-factor * w2, factor * w1]
+    if grid.dim == 3:
+        comps.append(np.zeros(grid.shape))
+    raw = VectorField.from_arrays(grid, comps)
+    projected = half_spectrum_leray_project(raw)
+
+    notes = []
+    if a >= 1.0:
+        notes.append(f"singular peak truncated at the grid scale (exponent={a}, N={grid.points_per_axis})")
+    num = den = 0.0
+    for b, p in zip(raw.components, projected.components):
+        num += float(np.sum((b.values - p.values) ** 2))
+        den += float(np.sum(b.values**2))
+    shift = math.sqrt(num / den) if den > 0.0 else 0.0
+    notes.append(f"leray projection moved the field by {shift:.3e} relative L2")
+    return VectorField(grid, projected.components, divergence_free=True, notes=tuple(notes))
+
+
+def rotation_bump(spec: FieldSpec, grid: TorusGrid) -> VectorField:
+    """The catalog's rotation_bump: the perpendicular gradient of a compactly supported stream function."""
+    _, _, r = full_grid_geometry(grid)
+    t_sq = (r / spec.param("radius")) ** 2
+    psi = np.zeros(grid.shape)
+    inside = t_sq < 1.0
+    psi[inside] = spec.param("amplitude") * np.exp(-1.0 / (1.0 - t_sq[inside]))
+    return perp_gradient(ScalarField(grid, psi))
 
 
 def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from advdiff.solver import SolverConfig, solve
 from advdiff.spectral import gradient
 
 import oracles
-from conftest import count_calls, count_transforms, random_field
+from conftest import count_calls, count_transforms, peak_state_arrays, random_field
 
 
 def gradient_velocity(grid, seed=61):
@@ -321,20 +319,25 @@ class TestStudyWorkCount:
     def test_modulated_study_peak_memory_does_not_grow_with_nodes(self, grid64):
         w = random_field(grid64, seed=85)
 
-        def peak(nodes):
+        def study(nodes):
             cfg = CommutatorStudyConfig(
                 b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
                 w_source=w, delta_schedule=dyadic_schedule(0.2, 3), time_samples=nodes,
             )
-            tracemalloc.start()
-            try:
-                convergence_study(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return lambda: convergence_study(cfg)
 
-        peak(2)  # fill the spectral-core and kernel-multiplier caches first
-        assert peak(16) <= peak(2) + 3 * w.values.nbytes
+        assert peak_state_arrays(study(16), grid64) <= peak_state_arrays(study(2), grid64) + 3
+
+    @pytest.mark.parametrize("norm", [L1_SPACETIME, L2_HMINUS1])
+    def test_static_singular_study_working_set(self, norm):
+        # The builder's profile temporaries are gone before its projection,
+        # so neither it nor a level holds more than about 9 state arrays.
+        g = TorusGrid(2, 128)
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("power_singularity"), w_source=random_field(g, seed=88),
+            delta_schedule=dyadic_schedule(0.2, 3), norm=norm,
+        )
+        assert peak_state_arrays(lambda: convergence_study(cfg), g) <= 10
 
     @pytest.mark.parametrize("levels", [2, 5])
     def test_static_study_transform_budget(self, monkeypatch, levels):

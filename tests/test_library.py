@@ -16,6 +16,9 @@ from advdiff.library import (
 )
 from advdiff.spectral import divergence_defect
 
+import oracles
+from conftest import peak_state_arrays
+
 
 class TestFieldSpec:
     def test_unknown_name(self):
@@ -215,6 +218,42 @@ class TestTimeIntegrability:
         assert estimate_time_integrability(spec, g, 1.0).verdict == "converging"
         assert estimate_time_integrability(spec, g, 3.0).verdict == "diverging"
         assert estimate_time_integrability(spec, g, 4.0).verdict == "diverging"
+
+
+def _assert_bit_equal(ours, ref):
+    for c, r in zip(ours.components, ref.components, strict=True):
+        np.testing.assert_array_equal(c.values.view(np.uint64), r.values.view(np.uint64))
+
+
+class TestPlanarBuilders:
+    """The planar builders equal the oracles' full-grid forms bit for bit, in a bounded working set."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 64)])
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.25, 1.5, 1.9])
+    @pytest.mark.parametrize("cutoff", [{"cutoff_radius": 0.3}, {}])
+    def test_power_singularity_equals_full_grid_builder(self, dim, n, exponent, cutoff):
+        g = TorusGrid(dim, n)
+        spec = FieldSpec("power_singularity", {"exponent": exponent, **cutoff})
+        ours = instantiate(spec, g)
+        ref = oracles.power_singularity(spec, g)
+        _assert_bit_equal(ours, ref)
+        assert ours.notes == ref.notes
+
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+    @pytest.mark.parametrize("radius", [0.2, 0.35, 0.5])
+    def test_rotation_bump_equals_full_grid_builder(self, dim, n, radius):
+        g = TorusGrid(dim, n)
+        spec = FieldSpec("rotation_bump", {"radius": radius})
+        _assert_bit_equal(instantiate(spec, g), oracles.rotation_bump(spec, g))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("dim,n,bound", [(2, 128, 10), (3, 32, 13)])
+    def test_instantiate_working_set(self, name, dim, n, bound):
+        # The full-grid power_singularity peaks at about 20 arrays in 2D and
+        # 25 in 3D; the catalog keeps every entry near its projection's needs.
+        g = TorusGrid(dim, n)
+        spec = FieldSpec(name)
+        assert peak_state_arrays(lambda: instantiate(spec, g), g) <= bound
 
 
 def test_divergence_free_tag_holds_at_type_tolerance():
