@@ -11,10 +11,7 @@ kernel schedules and fits empirical rates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -195,7 +192,7 @@ def _time_nodes(cfg: CommutatorStudyConfig):
 
 
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
-    """One node's integrand of the space-time norm at one kernel level."""
+    """One node's integrand of the space-time norm at one kernel level; its remainder dies on return."""
     r = transport.remainder(mult)
     return lp_norm(r, 1.0) if norm == L1_SPACETIME else h_norm(r, -1) ** 2
 
@@ -217,30 +214,24 @@ def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
     return DecayStudy(deltas, norms, ratios, slope, "decay", norm_type)
 
 
-def convergence_study(cfg: CommutatorStudyConfig, threads: int = 1) -> DecayStudy:
+def convergence_study(cfg: CommutatorStudyConfig) -> DecayStudy:
     """Evaluate the configured space-time norm along the schedule and fit a rate.
 
     Time nodes are the outer loop: b is sampled through a ``VelocitySampler``
     (once per ``library.sample_key``) and at each node the delta-independent
     half of the commutator is computed once, so each level costs only its
     kernel multiplier.  Only one node's pieces are held at a time.
-    ``threads`` fans out the levels within each node; every level sums its
-    node terms in node order, so the norms do not depend on the thread count.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
     times, weights, states = _time_nodes(cfg)
     sampler = VelocitySampler(cfg.b_source, grid)
     acc = [0.0] * len(mults)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        fan_out = pool.map if pool is not None else map
-        for i, (t, wt) in enumerate(zip(times, weights)):
-            w = states[i] if states is not None else cfg.w_source
-            transport = _Transport(sampler.field(float(t)), w)
-            for j, term in enumerate(fan_out(partial(_level_term, cfg.norm, transport), mults)):
-                acc[j] += term * wt
+    for i, (t, wt) in enumerate(zip(times, weights)):
+        w = states[i] if states is not None else cfg.w_source
+        transport = _Transport(sampler.field(float(t)), w)
+        for j, mult in enumerate(mults):
+            acc[j] += _level_term(cfg.norm, transport, mult) * wt
     norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
     return summarize_decay(cfg.delta_schedule, norms, cfg.norm)
 

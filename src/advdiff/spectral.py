@@ -103,7 +103,7 @@ def gradient(f: ScalarField) -> VectorField:
     """Exact spectral gradient: multiplication by i 2 pi k per axis."""
     core = spectral_core(f.grid)
     fh = core.forward(f.values)
-    return VectorField.from_arrays(f.grid, [core.inverse(ikj * fh) for ikj in core.ik])
+    return VectorField.from_arrays(f.grid, [_frozen(core.inverse(ikj * fh)) for ikj in core.ik])
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -130,7 +130,7 @@ def perp_gradient(psi: ScalarField) -> VectorField:
     if psi.grid.dim < 2:
         raise ValueError("perpendicular gradient requires dim >= 2")
     g = gradient(psi)
-    comps = [-g.components[1].values, g.components[0].values]
+    comps = [_frozen(-g.components[1].values), g.components[0].values]
     while len(comps) < psi.grid.dim:
         comps.append(np.zeros(psi.grid.shape))
     return VectorField.from_arrays(psi.grid, comps, divergence_free=True)

@@ -25,9 +25,9 @@ from advdiff.cli import (
 )
 from advdiff.fieldio import read_field
 from advdiff.grid import ScalarField, TorusGrid
-from advdiff.library import FieldSpec
+from advdiff.library import CATALOG, FieldSpec
 from advdiff.solver import SolverConfig, solve
-from conftest import count_calls
+from conftest import count_calls, peak_state_arrays
 
 
 def write_config(tmp_path, name, payload):
@@ -404,6 +404,14 @@ class TestFieldsCommand:
         assert verdicts["3"] == "converging"
         assert verdicts["5"] == "diverging"
 
+    def test_deterministic_output_bytes(self, tmp_path):
+        cfg_path = write_config(tmp_path, "audit.json", audit_config(p_values=[3.0, 5.0], resolutions=[64, 128, 256]))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["fields", "audit", "--config", cfg_path, "--out", str(a)]) == EXIT_OK
+        assert main(["fields", "audit", "--config", cfg_path, "--out", str(b), "--threads", "3"]) == EXIT_OK
+        assert (a / "trends.csv").read_bytes() == (b / "trends.csv").read_bytes()
+        assert manifest_without_wall_time(a) == manifest_without_wall_time(b)
+
     def test_audit_instantiates_once_per_resolution(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, "advdiff.library.instantiate")
         cfg = audit_config(p_values=[1.5, 2.0, 3.0, 5.0], resolutions=[64, 128, 256, 512, 1024])
@@ -636,14 +644,14 @@ class TestConfigValidation:
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
     def test_simulate_grid_beyond_memory_refused_before_datum(self, tmp_path, monkeypatch, capsys):
-        # 12 float64 arrays of 2048^3 values take 8.2e11 bytes; the datum alone would be 6.9e10
+        # 25 float64 arrays of 2048^3 values take 1.7e12 bytes; the datum alone would be 6.9e10
         monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a grid beyond memory"))
         monkeypatch.setattr("advdiff.cli._parse_scalar_datum", lambda *a, **k: pytest.fail("allocated the datum of a grid beyond memory"))
         cfg = simulate_config(grid={"dim": 3, "points_per_axis": 2048}, initial_datum={"kind": "sine", "mode": [0, 1, 0]})
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert err.startswith("config error: grid: 12 state-sized arrays at N=2048 in 3D take about 824633720832 bytes")
+        assert err.startswith("config error: grid: 25 state-sized arrays at N=2048 in 3D take about 1717986918400 bytes")
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
@@ -656,11 +664,11 @@ class TestConfigValidation:
                 dict(small_commutator_config(), grid={"dim": 3, "points_per_axis": 2048}),
                 "config error: grid: 10 state-sized arrays at N=2048 in 3D take about 687194767360 bytes",
             ),
-            # 3 + 3 arrays at the finest of the resolutions: 4.1e11 bytes
+            # 3 + 10 arrays at the finest of the resolutions: 8.9e11 bytes
             (
                 ["fields", "audit"],
                 audit_config(dim=3, resolutions=[16, 64, 2048]),
-                "config error: resolutions: 6 state-sized arrays at N=2048 in 3D take about 412316860416 bytes",
+                "config error: resolutions: 13 state-sized arrays at N=2048 in 3D take about 893353197568 bytes",
             ),
         ],
         ids=["commutator", "fields_audit"],
@@ -766,6 +774,38 @@ class TestConfigValidation:
         assert main(["regime", "map", "--config", cfg_path, "--out", str(tmp_path / "m")]) == EXIT_OK
 
 
+# What a warm run's tracemalloc peak leaves out, in state arrays: the caches a
+# first run fills (spectral cores, kernel multipliers; up to 1.7 measured) and
+# pocketfft's scratch for an inverse transform (about 0.5, by peak RSS).
+UNSEEN_ARRAYS = 2.5
+
+
+class TestMemoryCounts:
+    """The simulate and audit counts of ``_check_fits`` cover every catalog field at two grids per dimension."""
+
+    def peak(self, tmp_path, argv, cfg, grid) -> float:
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+        return peak_state_arrays(lambda: main([*argv, "--config", cfg_path, "--out", str(tmp_path / "out")]), grid)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("dim,n", [(2, 128), (2, 256), (3, 32), (3, 64)])
+    def test_simulate_count_is_an_upper_bound(self, tmp_path, name, dim, n):
+        cfg = simulate_config(
+            grid={"dim": dim, "points_per_axis": n}, field={"name": name},
+            initial_datum={"kind": "sine", "mode": [1] + [0] * (dim - 1)},
+            solver={"t_final": 1e-4, "dt": 1e-4}, outputs={"diagnostics_csv": True, "snapshots": False},
+        )
+        peak = self.peak(tmp_path, ["simulate"], cfg, TorusGrid(dim, n))
+        assert peak + UNSEEN_ARRAYS <= advdiff.cli._SIMULATE_STATE_ARRAYS
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("dim,n", [(2, 256), (2, 512), (3, 32), (3, 64)])
+    def test_audit_count_is_an_upper_bound(self, tmp_path, name, dim, n):
+        cfg = audit_config(field={"name": name}, dim=dim, p_values=[2.0, 4.0], resolutions=[n // 4, n // 2, n])
+        peak = self.peak(tmp_path, ["fields", "audit"], cfg, TorusGrid(dim, n))
+        assert peak + UNSEEN_ARRAYS <= dim + advdiff.cli._AUDIT_STATE_ARRAYS
+
+
 class TestPublish:
     def run(self, tmp_path, out, **overrides):
         cfg = small_simulate_config()
@@ -840,6 +880,17 @@ class TestPublish:
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 README_CONFIGS = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", README.read_text(), re.S) if '"kind"' in block]
+
+
+def readme_ids(configs) -> list[str]:
+    """Each config's kind, numbered from the second config of that kind on (the recipes)."""
+    ids = []
+    for cfg in configs:
+        count = sum(cfg["kind"] == other["kind"] for other in configs[: len(ids)])
+        ids.append(cfg["kind"] if count == 0 else f"{cfg['kind']}-{count + 1}")
+    return ids
+
+
 KIND_COMMANDS = {"simulate": ["simulate"], "commutator": ["commutator"], "regime-map": ["regime", "map"], "field-audit": ["fields", "audit"]}
 
 
@@ -847,7 +898,7 @@ class _ReachedCompute(Exception):
     pass
 
 
-@pytest.mark.parametrize("cfg", README_CONFIGS, ids=lambda cfg: cfg["kind"])
+@pytest.mark.parametrize("cfg", README_CONFIGS, ids=readme_ids(README_CONFIGS))
 def test_readme_config_examples_parse(tmp_path, monkeypatch, cfg):
     def reached(*args, **kwargs):
         raise _ReachedCompute
@@ -883,8 +934,32 @@ def test_manifest_versions_are_the_imported_libraries(tmp_path, argv, cfg):
         assert versions["scipy"] == scipy.__version__
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [(["simulate"], simulate_config()), (["commutator"], small_commutator_config()), (["fields", "audit"], audit_config())],
+    ids=["simulate", "commutator", "fields_audit"],
+)
+def test_threads_set_the_workers_of_every_transform(tmp_path, monkeypatch, argv, cfg):
+    import scipy.fft
+
+    from advdiff.spectral import SpectralCore
+
+    workers = []
+    forward = SpectralCore.forward
+
+    def spied(self, values):
+        workers.append(scipy.fft.get_workers())
+        return forward(self, values)
+
+    monkeypatch.setattr(SpectralCore, "forward", spied)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([*argv, "--config", cfg_path, "--out", str(tmp_path / "out"), "--threads", "3"]) == EXIT_OK
+    assert workers and set(workers) == {3}
+    assert scipy.fft.get_workers() == 1  # restored when the compute ends
+
+
 def test_readme_shows_a_config_of_every_kind():
-    assert sorted(cfg["kind"] for cfg in README_CONFIGS) == sorted(KIND_COMMANDS)
+    assert {cfg["kind"] for cfg in README_CONFIGS} == set(KIND_COMMANDS)
 
 
 # The benchmark's request generator, executed from source (no bytecode is written next to it).

@@ -190,26 +190,6 @@ class TestConvergenceStudy:
         assert st.verdict == "decay"
         assert st.fitted_rate >= 0.8
 
-    def test_threads_do_not_change_results(self):
-        g = TorusGrid(2, 64)
-        w = random_field(g, seed=73, max_mode=5)
-        cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("taylor_green"), w_source=w, delta_schedule=dyadic_schedule(0.1, 3)
-        )
-        serial = convergence_study(cfg, threads=1)
-        parallel = convergence_study(cfg, threads=4)
-        assert serial.norms == parallel.norms
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected_before_any_transform(self, monkeypatch, grid32, threads):
-        cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("taylor_green"), w_source=random_field(grid32, seed=74), delta_schedule=dyadic_schedule(0.3, 2)
-        )
-        calls = count_transforms(monkeypatch)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            convergence_study(cfg, threads=threads)
-        assert calls == []
-
     def test_kernel_independent_decay_both_norms(self):
         g = TorusGrid(2, 128)
         w = random_field(g, seed=74, max_mode=3, count=4)
@@ -271,11 +251,10 @@ class TestStudyMatchesLevelByLevelOracle:
     def test_norms_and_rate_match(self, case, norm, profile):
         cfg = _study_case(case, norm, profile)
         want = summarize_decay(cfg.delta_schedule, oracles.study_norms(cfg), norm)
-        serial = convergence_study(cfg, threads=1)
-        assert serial.norms == convergence_study(cfg, threads=4).norms
-        np.testing.assert_allclose(serial.norms, want.norms, rtol=1e-12, atol=0.0)
-        assert serial.verdict == want.verdict
-        assert serial.fitted_rate == pytest.approx(want.fitted_rate, rel=1e-12, abs=1e-12)
+        got = convergence_study(cfg)
+        np.testing.assert_allclose(got.norms, want.norms, rtol=1e-12, atol=0.0)
+        assert got.verdict == want.verdict
+        assert got.fitted_rate == pytest.approx(want.fitted_rate, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_pointwise_commutator_matches(self, profile):
@@ -304,7 +283,7 @@ class TestStudyWorkCount:
             b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=random_field(grid64, seed=83),
             delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
         )
-        convergence_study(cfg, threads=2)
+        convergence_study(cfg)
         assert len(calls) == 2
 
     def test_modulated_study_instantiates_once_per_node(self, monkeypatch, grid64):
@@ -313,7 +292,7 @@ class TestStudyWorkCount:
             b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
             w_source=random_field(grid64, seed=83), delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
         )
-        convergence_study(cfg, threads=2)
+        convergence_study(cfg)
         assert len(calls) == 6
 
     def test_modulated_study_peak_memory_does_not_grow_with_nodes(self, grid64):

@@ -1,6 +1,7 @@
 """The package surface: each public name has one import path, its owner module's,
-and a caller in the package or its scripts; and one function, ``cli._publish``,
-writes to the file system."""
+and a caller in the package; and one function, ``cli._publish``, writes to the
+file system, in the package and in every other program file outside ``tests/``
+and ``perfbench/``."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ import pytest
 import advdiff
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "advdiff").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "advdiff").glob("*.py"))
 
 
 def loaded_modules(statement: str) -> set[str]:
@@ -36,7 +37,7 @@ def test_regimes_imports_no_numeric_stack():
     [
         "import advdiff.cli",
         "from advdiff.cli import main; assert main(['regime', 'classify', '--d', '3', '--p', '2', '--q', '4']) == 0",
-        "from advdiff.cli import main; assert main(['regime', 'map', '--config', {config!r}, '--out', {out!r}]) == 0",
+        "from advdiff.cli import main; assert main(['regime', 'map', '--config', {config!r}, '--out', {out!r}, '--threads', '2']) == 0",
     ],
     ids=["import", "regime_classify", "regime_map"],
 )
@@ -101,7 +102,7 @@ def test_every_exported_name_resolves():
         assert missing == [], info.name
 
 
-# The public names nothing in src/ or scripts/ reads: library entry points,
+# The public names nothing in src/ reads: library entry points,
 # each kept for the test it serves.  Any other unread ``__all__`` name is dead.
 LIBRARY_ONLY = {
     "commutators.commutator": "test_acceptance.py::test_criterion_07_divergence_form_identities",
@@ -223,11 +224,22 @@ def test_no_module_reads_distribution_metadata():
     assert strays == []
 
 
+def program_files() -> list[str]:
+    """Every ``*.py`` of the repository outside ``tests/``, ``perfbench/`` and hidden directories, relative to it."""
+    paths = (path.relative_to(ROOT) for path in ROOT.rglob("*.py"))
+    return sorted(
+        path.as_posix() for path in paths
+        if path.parts[0] not in ("tests", "perfbench") and not any(part.startswith(".") for part in path.parts)
+    )
+
+
 def test_publish_is_the_only_writer():
+    files = program_files()
+    assert "src/advdiff/cli.py" in files
     strays = [
-        f"{path.name}:{line} in {owner}"
-        for path in sorted((ROOT / "src" / "advdiff").glob("*.py"))
-        for owner, line in file_writes(path.read_text())
-        if (path.name, owner) != ("cli.py", "_publish")
+        f"{name}:{line} in {owner}"
+        for name in files
+        for owner, line in file_writes((ROOT / name).read_text())
+        if (name, owner) != ("src/advdiff/cli.py", "_publish")
     ]
     assert strays == []

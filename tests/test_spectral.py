@@ -18,7 +18,7 @@ from advdiff.spectral import (
 )
 
 import oracles
-from conftest import random_field, trig_field
+from conftest import peak_state_arrays, random_field, trig_field
 from oracles import translate
 
 
@@ -106,6 +106,14 @@ class TestDerivatives:
         lhs = divergence(gradient(f))
         rhs = laplacian(f)
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9
+
+    @pytest.mark.parametrize("op", [gradient, perp_gradient])
+    def test_derivative_outputs_are_kept_without_a_copy(self, op):
+        # VectorField keeps a read-only inverse output as it is; a writeable one
+        # was copied, which took the peak of a 2D N=256 gradient to 5.0 arrays.
+        g = TorusGrid(2, 256)
+        f = random_field(g, seed=10)
+        assert peak_state_arrays(lambda: op(f), g) <= 4.5
 
 
 class TestLeray:
