@@ -93,6 +93,11 @@ class FieldSpec:
     def time_dependent(self) -> bool:
         return self.name == "alternating_shear"
 
+    @property
+    def planar(self) -> bool:
+        """A field of (x1, x2) alone, with no x3 component: every entry but ``constant``."""
+        return self.name != "constant"
+
 
 def _validate_params(name: str, p: dict[str, float]) -> None:
     if name == "power_singularity":
@@ -166,28 +171,12 @@ def _smoothstep(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _planar_geometry(grid: TorusGrid):
-    """Wrapped displacement from the cell center and its radius, on the grid's (x1, x2) plane.
-
-    The planar entries do not depend on x3, so in 3D every radial-profile
-    array spans N^2 points and only the finished arrays go through
-    ``_columns``.
-    """
-    plane = TorusGrid(2, grid.points_per_axis)
-    disp = wrapped_displacement(plane.coordinate_mesh(), [0.5, 0.5])
-    w1 = np.broadcast_to(disp[0], plane.shape)
-    w2 = np.broadcast_to(disp[1], plane.shape)
+    """Wrapped displacement from the cell center and its radius, on a 2D grid."""
+    disp = wrapped_displacement(grid.coordinate_mesh(), [0.5, 0.5])
+    w1 = np.broadcast_to(disp[0], grid.shape)
+    w2 = np.broadcast_to(disp[1], grid.shape)
     r = np.sqrt(w1 * w1 + w2 * w2)
     return w1, w2, r
-
-
-def _columns(plane: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """A fresh (x1, x2)-plane array as a read-only grid array: itself in 2D, repeated along x3 in 3D.
-
-    Read-only, so ``ScalarField`` keeps it without a copy.
-    """
-    out = plane if grid.dim == 2 else np.repeat(plane[..., np.newaxis], grid.points_per_axis, axis=2)
-    out.flags.writeable = False
-    return out
 
 
 def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
@@ -196,15 +185,10 @@ def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
 
 
 def _shear_arrays(grid: TorusGrid, amplitude: float, cells: float, horizontal: bool) -> list[np.ndarray]:
-    coords = grid.coordinate_mesh()
-    comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    if horizontal:
-        profile = amplitude * np.sin(2.0 * np.pi * cells * coords[1])
-        comps[0] = np.broadcast_to(profile, grid.shape).copy()
-    else:
-        profile = amplitude * np.sin(2.0 * np.pi * cells * coords[0])
-        comps[1] = np.broadcast_to(profile, grid.shape).copy()
-    return comps
+    x1, x2 = grid.coordinate_mesh()
+    profile = amplitude * np.sin(2.0 * np.pi * cells * (x2 if horizontal else x1))
+    comps = [np.broadcast_to(profile, grid.shape).copy(), np.zeros(grid.shape)]
+    return comps if horizontal else comps[::-1]
 
 
 def _build_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
@@ -214,14 +198,11 @@ def _build_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
 
 def _build_taylor_green(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     a = spec.param("amplitude")
-    coords = grid.coordinate_mesh()
-    x1, x2 = coords[0], coords[1]
+    x1, x2 = grid.coordinate_mesh()
     two_pi = 2.0 * np.pi
     b1 = -two_pi * a * np.sin(two_pi * x1) * np.cos(two_pi * x2)
     b2 = two_pi * a * np.cos(two_pi * x1) * np.sin(two_pi * x2)
     comps = [np.broadcast_to(b1, grid.shape), np.broadcast_to(b2, grid.shape)]
-    if grid.dim == 3:
-        comps.append(np.zeros(grid.shape))
     return VectorField.from_arrays(grid, comps, divergence_free=True)
 
 
@@ -232,7 +213,8 @@ def _build_rotation_bump(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorFi
     psi = np.zeros(r.shape)
     inside = t_sq < 1.0
     psi[inside] = spec.param("amplitude") * np.exp(-1.0 / (1.0 - t_sq[inside]))
-    return perp_gradient(ScalarField(grid, _columns(psi, grid)))
+    psi.flags.writeable = False  # so ScalarField keeps it without a copy
+    return perp_gradient(ScalarField(grid, psi))
 
 
 def _power_profile(spec: FieldSpec, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,9 +244,9 @@ def _power_profile(spec: FieldSpec, grid: TorusGrid) -> tuple[np.ndarray, np.nda
 
 def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     w1, w2, factor = _power_profile(spec, grid)
-    comps = [_columns(-factor * w2, grid), _columns(factor * w1, grid)]
-    if grid.dim == 3:
-        comps.append(_columns(np.zeros(factor.shape), grid))
+    comps = [-factor * w2, factor * w1]
+    for c in comps:
+        c.flags.writeable = False  # so ScalarField keeps them without a copy
     raw = VectorField.from_arrays(grid, comps)
     projected = leray_project(raw)
 
@@ -312,8 +294,8 @@ _BUILDERS = {
 
 
 def check_dim(spec: FieldSpec, dim: int) -> None:
-    """Refuse a planar entry (every one but ``constant``) in fewer than two dimensions."""
-    if dim < 2 and spec.name != "constant":
+    """Refuse a planar entry in fewer than two dimensions."""
+    if dim < 2 and spec.planar:
         raise ValueError(f"field {spec.name!r} requires dim >= 2")
 
 
@@ -323,13 +305,22 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
     Static entries ignore t.  The singular entry is returned already
     projected onto the discretely divergence-free fields; what the
     projection changed is recorded in the field's notes.
+
+    A planar entry is built, projected and gated on the (x1, x2) plane.  In
+    3D it is a vortex column: each plane component repeated along x3 as a
+    read-only view, and a zero third component.
     """
     check_dim(spec, grid.dim)
-    field = _BUILDERS[spec.name](spec, grid, t)
+    build_grid = TorusGrid(2, grid.points_per_axis) if spec.planar else grid
+    field = _BUILDERS[spec.name](spec, build_grid, t)
     defect = divergence_defect(field)
     if defect > DIVERGENCE_GATE:
         raise AssertionError(f"catalog field {spec.name!r} failed the divergence gate: {defect:.3e}")
-    return field
+    if build_grid == grid:
+        return field
+    comps = [np.broadcast_to(c.values[..., np.newaxis], grid.shape) for c in field.components]
+    comps.append(np.broadcast_to(0.0, grid.shape))
+    return VectorField.from_arrays(grid, comps, divergence_free=True, notes=field.notes)
 
 
 def sample_key(spec: FieldSpec, t: float) -> int | float | None:

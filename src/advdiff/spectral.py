@@ -122,17 +122,14 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def perp_gradient(psi: ScalarField) -> VectorField:
-    """Velocity (-d2 psi, d1 psi) of a stream function; solenoidal by construction.
+    """Velocity (-d2 psi, d1 psi) of a stream function on a 2D grid; solenoidal by construction.
 
-    In three dimensions the flow is extended as vortex columns: the third
-    component is zero and nothing depends on x3 beyond what psi carries.
+    A 3D vortex column is lifted from the plane by ``library.instantiate``.
     """
-    if psi.grid.dim < 2:
-        raise ValueError("perpendicular gradient requires dim >= 2")
+    if psi.grid.dim != 2:
+        raise ValueError("perpendicular gradient requires dim == 2")
     g = gradient(psi)
     comps = [_frozen(-g.components[1].values), g.components[0].values]
-    while len(comps) < psi.grid.dim:
-        comps.append(np.zeros(psi.grid.shape))
     return VectorField.from_arrays(psi.grid, comps, divergence_free=True)
 
 

@@ -29,8 +29,13 @@ The catalog builders here are the full-grid forms of ``power_singularity``
 and ``rotation_bump``: every radial-profile temporary spans the whole grid,
 and the singular field keeps its raw components through a half-spectrum
 Leray projection that subtracts out of place and copies what it returns.
-They share the package's spectral core and ``perp_gradient`` but not its
-smoothstep, so the package's builders must equal them bit for bit.
+In 2D they share the package's spectral core and ``perp_gradient`` but not
+its smoothstep, so the package's builders must equal them bit for bit.  In
+3D they build, project and differentiate on the whole N^3 grid, the
+singular field through the 3D half-spectrum core and ``rotation_bump``
+through the full-lattice ``gradient`` above.  The package builds a 3D
+vortex column on the plane and lifts it, so it equals ``columns`` of the 2D
+form bit for bit and the 3D form to roundoff.
 
 Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
 package's cached kernel samples as a field, and ``lq_dissipation_check``
@@ -205,7 +210,18 @@ def rotation_bump(spec: FieldSpec, grid: TorusGrid) -> VectorField:
     psi = np.zeros(grid.shape)
     inside = t_sq < 1.0
     psi[inside] = spec.param("amplitude") * np.exp(-1.0 / (1.0 - t_sq[inside]))
-    return perp_gradient(ScalarField(grid, psi))
+    if grid.dim == 2:
+        return perp_gradient(ScalarField(grid, psi))
+    g = gradient(psi, grid)
+    return VectorField.from_arrays(grid, [-g[1], g[0], np.zeros(grid.shape)], divergence_free=True)
+
+
+def columns(plane: VectorField, grid: TorusGrid) -> VectorField:
+    """A planar field on ``grid``: itself in 2D; in 3D each component copied along x3, and a zero third."""
+    if grid.dim == 2:
+        return plane
+    comps = [np.repeat(c.values[..., np.newaxis], grid.points_per_axis, axis=2) for c in plane.components]
+    return VectorField.from_arrays(grid, [*comps, np.zeros(grid.shape)], divergence_free=True, notes=plane.notes)
 
 
 def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:

@@ -26,6 +26,7 @@ from advdiff.cli import (
 from advdiff.fieldio import read_field
 from advdiff.grid import ScalarField, TorusGrid
 from advdiff.library import CATALOG, FieldSpec
+from advdiff.mollify import kernel_multiplier
 from advdiff.solver import SolverConfig, solve
 from conftest import count_calls, peak_state_arrays
 
@@ -658,11 +659,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "command, cfg, message",
         [
-            # 3 + 7 float64 arrays of 2048^3 values take 6.9e11 bytes
+            # 3 + 10 + 2 (one per level) float64 arrays of 2048^3 values take 1.0e12 bytes
             (
                 ["commutator"],
                 dict(small_commutator_config(), grid={"dim": 3, "points_per_axis": 2048}),
-                "config error: grid: 10 state-sized arrays at N=2048 in 3D take about 687194767360 bytes",
+                "config error: grid: 15 state-sized arrays at N=2048 in 3D take about 1030792151040 bytes",
             ),
             # 3 + 10 arrays at the finest of the resolutions: 8.9e11 bytes
             (
@@ -781,7 +782,7 @@ UNSEEN_ARRAYS = 2.5
 
 
 class TestMemoryCounts:
-    """The simulate and audit counts of ``_check_fits`` cover every catalog field at two grids per dimension."""
+    """The counts of ``_check_fits`` cover every catalog field at two grids per dimension."""
 
     def peak(self, tmp_path, argv, cfg, grid) -> float:
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
@@ -804,6 +805,23 @@ class TestMemoryCounts:
         cfg = audit_config(field={"name": name}, dim=dim, p_values=[2.0, 4.0], resolutions=[n // 4, n // 2, n])
         peak = self.peak(tmp_path, ["fields", "audit"], cfg, TorusGrid(dim, n))
         assert peak + UNSEEN_ARRAYS <= dim + advdiff.cli._AUDIT_STATE_ARRAYS
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("dim,n", [(2, 256), (2, 512), (3, 32), (3, 64)])
+    @pytest.mark.parametrize("levels", [2, 8])
+    def test_commutator_count_is_an_upper_bound(self, tmp_path, name, dim, n, levels):
+        # The finest level sits at the resolvable floor.  The kernel multiplier
+        # cache is cleared before each run, so the measured peak holds them.
+        study = {"delta0": max(0.5, 1.5 * 2 ** (levels - 1) / n), "levels": levels}
+        cfg = dict(small_commutator_config(**study), grid={"dim": dim, "points_per_axis": n}, field={"name": name}, expect={})
+        cfg_path = write_config(tmp_path, "cfg.json", cfg)
+
+        def run():
+            kernel_multiplier.cache_clear()
+            assert main(["commutator", "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+        peak = peak_state_arrays(run, TorusGrid(dim, n))
+        assert peak + UNSEEN_ARRAYS <= dim + advdiff.cli._COMMUTATOR_STATE_ARRAYS + levels
 
 
 class TestPublish:

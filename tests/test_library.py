@@ -16,6 +16,7 @@ from advdiff.library import (
 )
 from advdiff.spectral import divergence_defect
 
+import advdiff.library
 import oracles
 from conftest import peak_state_arrays
 
@@ -46,6 +47,9 @@ class TestFieldSpec:
     def test_time_dependence(self):
         assert FieldSpec("alternating_shear").time_dependent
         assert not FieldSpec("shear").time_dependent
+
+    def test_planar_is_every_entry_but_constant(self):
+        assert [name for name in CATALOG if not FieldSpec(name).planar] == ["constant"]
 
 
 class TestSampleKey:
@@ -225,26 +229,39 @@ def _assert_bit_equal(ours, ref):
         np.testing.assert_array_equal(c.values.view(np.uint64), r.values.view(np.uint64))
 
 
+def _assert_equals_planar_oracle(spec, g, oracle):
+    """Bit for bit with ``oracles.columns`` of the 2D form, and in 3D within 1e-13 of max|b| of the full-grid form."""
+    ours = instantiate(spec, g)
+    plane = oracle(spec, TorusGrid(2, g.points_per_axis))
+    _assert_bit_equal(ours, oracles.columns(plane, g))
+    assert ours.notes == plane.notes
+    if g.dim == 3:
+        full = oracle(spec, g)
+        scale = full.max_abs()
+        for c, f in zip(ours.components, full.components, strict=True):
+            assert np.max(np.abs(c.values - f.values)) <= 1e-13 * scale
+        assert ours.notes == full.notes
+
+
 class TestPlanarBuilders:
-    """The planar builders equal the oracles' full-grid forms bit for bit, in a bounded working set."""
+    """The planar builders equal the oracles' full-grid forms, in a bounded working set.
+
+    In 2D bit for bit; a 3D vortex column is the lifted 2D form bit for bit
+    and agrees with the full-grid 3D form to roundoff.
+    """
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 64)])
     @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.25, 1.5, 1.9])
     @pytest.mark.parametrize("cutoff", [{"cutoff_radius": 0.3}, {}])
     def test_power_singularity_equals_full_grid_builder(self, dim, n, exponent, cutoff):
-        g = TorusGrid(dim, n)
         spec = FieldSpec("power_singularity", {"exponent": exponent, **cutoff})
-        ours = instantiate(spec, g)
-        ref = oracles.power_singularity(spec, g)
-        _assert_bit_equal(ours, ref)
-        assert ours.notes == ref.notes
+        _assert_equals_planar_oracle(spec, TorusGrid(dim, n), oracles.power_singularity)
 
     @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
     @pytest.mark.parametrize("radius", [0.2, 0.35, 0.5])
     def test_rotation_bump_equals_full_grid_builder(self, dim, n, radius):
-        g = TorusGrid(dim, n)
         spec = FieldSpec("rotation_bump", {"radius": radius})
-        _assert_bit_equal(instantiate(spec, g), oracles.rotation_bump(spec, g))
+        _assert_equals_planar_oracle(spec, TorusGrid(dim, n), oracles.rotation_bump)
 
     @pytest.mark.parametrize("name", CATALOG)
     @pytest.mark.parametrize("dim,n,bound", [(2, 128, 10), (3, 32, 13)])
@@ -254,6 +271,40 @@ class TestPlanarBuilders:
         g = TorusGrid(dim, n)
         spec = FieldSpec(name)
         assert peak_state_arrays(lambda: instantiate(spec, g), g) <= bound
+
+
+PLANAR = [name for name in CATALOG if FieldSpec(name).planar]
+
+
+class TestVortexColumns:
+    """A planar entry in 3D is built, projected and gated on the plane, then lifted by read-only views."""
+
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_lift_holds_no_state_array(self, name):
+        # A full-grid 3D build peaked at 4.2 to 9.8 arrays of N^3 floats.
+        g = TorusGrid(3, 64)
+        assert peak_state_arrays(lambda: instantiate(FieldSpec(name), g), g) <= 0.5
+
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_plane_gate_certifies_the_lift(self, name):
+        v = instantiate(FieldSpec(name), TorusGrid(3, 64))
+        assert v.divergence_free
+        assert divergence_defect(v) <= 1e-13
+        assert all(not c.values.flags.writeable for c in v.components)
+        assert np.max(np.abs(v.components[2].values)) == 0.0
+
+    def test_builders_see_only_planes(self, monkeypatch):
+        dims = []
+        for name, build in advdiff.library._BUILDERS.items():
+
+            def spy(spec, grid, t, _build=build):
+                dims.append(grid.dim)
+                return _build(spec, grid, t)
+
+            monkeypatch.setitem(advdiff.library._BUILDERS, name, spy)
+        for name in PLANAR:
+            instantiate(FieldSpec(name), TorusGrid(3, 16))
+        assert dims == [2] * len(PLANAR)
 
 
 def test_divergence_free_tag_holds_at_type_tolerance():

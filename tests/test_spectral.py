@@ -242,6 +242,11 @@ class TestPerpGradientAndTranslate:
         assert v.divergence_free
         assert divergence_defect(v) < 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_perp_gradient_is_planar(self, dim):
+        with pytest.raises(ValueError, match="dim == 2"):
+            perp_gradient(random_field(TorusGrid(dim, 16), seed=23))
+
     def test_translate_full_period_identity(self, grid32):
         f = random_field(grid32, seed=22)
         g = translate(f, (1.0, 0.0))
