@@ -9,11 +9,12 @@ artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
 
-Importing this module loads no numpy or scipy: the numeric runners import
-them when they start, so the ``regime`` commands never do.  Imports happen
-before compute, never after it, because the objects they create live for
-the whole process and would otherwise pin the memory that compute has freed
-beneath them.
+Importing this module loads no numpy or scipy, and neither do the ``regime``
+commands: each function that computes with arrays imports what it uses in
+its own body.  A runner imports, while it parses, every module its compute
+and render use, so no module loads after compute starts: the objects an
+import creates live for the whole process and would otherwise pin the
+memory that compute has freed beneath them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -58,38 +58,6 @@ _NUMBER = (int, float)
 
 class SchemaError(ValueError):
     """Config does not match the strict schema."""
-
-
-# The names taken from modules that import numpy and scipy.  ``_load_numeric``
-# binds them here when a numeric command starts; reading one from outside
-# (a test patching ``advdiff.cli.solve``) binds them too.  A bound name is
-# never rebound, so such a patch holds.
-_NUMERIC = {
-    ".commutators": ("CommutatorStudyConfig", "convergence_study"),
-    ".fieldio": ("field_bytes",),
-    ".grid": ("ScalarField", "TorusGrid", "wrapped_radius_sq"),
-    ".library": ("FieldSpec", "catalog_entries", "check_dim", "estimate_integrability", "integrability_card", "refinement_grids"),
-    ".mollify": ("Mollifier", "check_resolvable", "dyadic_schedule"),
-    ".solver": ("LQ_COLUMNS", "REGISTERED_BETAS", "SolverConfig", "Trajectory", "beta_dissipation", "solve"),
-}
-
-
-def _load_numeric() -> None:
-    """Bind numpy as ``np``, ``scipy`` and the names of ``_NUMERIC`` in this module, keeping any already bound."""
-    names = globals()
-    names.setdefault("np", importlib.import_module("numpy"))
-    for module, attrs in _NUMERIC.items():
-        owner = importlib.import_module(module, __package__)
-        for attr in attrs:
-            names.setdefault(attr, getattr(owner, attr))
-    names.setdefault("scipy", importlib.import_module("scipy"))  # loaded by now, through the solver's scipy.fft
-
-
-def __getattr__(name: str):
-    if name in ("np", "scipy") or any(name in attrs for attrs in _NUMERIC.values()):
-        _load_numeric()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------- schema --
@@ -139,6 +107,8 @@ def _load_config(path: Path, expected_kind: str) -> dict:
 
 
 def _parse_grid(block, context="grid") -> TorusGrid:
+    from .grid import TorusGrid
+
     block = dict(block)
     dim = _take(block, "dim", int, context=context)
     n = _take(block, "points_per_axis", int, context=context)
@@ -159,6 +129,8 @@ def _check_fits(grid: TorusGrid, arrays: int, context: str = "grid") -> None:
 
 def _parse_field(block, dim: int, context="field") -> FieldSpec | None:
     """The catalog field of ``block`` (None stays None), checked for a ``dim``-dimensional grid."""
+    from .library import FieldSpec, check_dim
+
     if block is None:
         return None
     block = dict(block)
@@ -174,11 +146,17 @@ def _parse_field(block, dim: int, context="field") -> FieldSpec | None:
 
 def _rng(cfg: dict) -> np.random.Generator:
     """The random-datum generator, seeded by the config's ``seed``."""
+    import numpy as np
+
     return np.random.default_rng(_take(cfg, "seed", int, default=0))
 
 
 def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, band: int, context="initial_datum") -> ScalarField:
     """The datum of ``block``, refused if a mode has some |k_j| > ``band`` (more than its consumer keeps)."""
+    import numpy as np
+
+    from .grid import ScalarField, wrapped_radius_sq
+
     block = dict(block)
     kind = _take(block, "kind", str, context=context)
     amplitude = float(_take(block, "amplitude", _NUMBER, default=1.0, context=context))
@@ -234,6 +212,9 @@ def _parse_scalar_datum(block, grid: TorusGrid, rng: np.random.Generator, band: 
 
 
 def _parse_solver(block, grid: TorusGrid, context="solver") -> SolverConfig:
+    from .mollify import Mollifier, check_resolvable
+    from .solver import SolverConfig
+
     block = dict(block)
     kwargs = {
         "t_final": float(_take(block, "t_final", _NUMBER, context=context)),
@@ -347,7 +328,7 @@ _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, 
 
 # State-sized arrays that a run holds at once.  Each count is an upper bound:
 # the largest warm tracemalloc peak over the catalog (simulate 21.19, audit
-# d + 6.36, a 2-level commutator study d + 9.11 with its kernel multipliers)
+# d + 6.36, a 2-level commutator study d + 8.15 with its kernel multipliers)
 # plus 2.5 for the caches a first run fills and pocketfft's inverse scratch,
 # pinned by ``TestMemoryCounts``.  A commutator study adds one array per level
 # for that level's cached kernel multiplier, which takes (N/2 + 1)/N of one.
@@ -357,6 +338,10 @@ _AUDIT_STATE_ARRAYS = 10
 
 
 def _simulate_gates(traj: Trajectory) -> dict[str, bool]:
+    import numpy as np
+
+    from .solver import LQ_COLUMNS, REGISTERED_BETAS, beta_dissipation
+
     tol = _SIMULATE_TOLERANCES
     diag = traj.diagnostics
     gates: dict[str, bool] = {}
@@ -375,6 +360,8 @@ def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
     """Pointwise error against the exact heat kernel, for pure-diffusion
     single-mode runs where the integrating factor is exact.  The reference is
     the solver's own initial state, so a mollified datum is compared with itself."""
+    import numpy as np
+
     if field is not None or datum.get("kind") != "sine":
         return None
     k_sq = float(sum(float(k) ** 2 for k in datum["mode"]))
@@ -385,7 +372,9 @@ def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
 
 def run_simulate(cfg: dict):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
-    _load_numeric()
+    from .fieldio import field_bytes
+    from .solver import solve
+
     grid = _parse_grid(_take(cfg, "grid", dict))
     _check_fits(grid, _SIMULATE_STATE_ARRAYS)
     field = _parse_field(_take(cfg, "field", (dict, type(None)), default=None), grid.dim)
@@ -427,7 +416,9 @@ def run_simulate(cfg: dict):
 
 def run_commutator(cfg: dict):
     """``commutator``: the kernel-scale decay study of the commutator norm."""
-    _load_numeric()
+    from .commutators import CommutatorStudyConfig, convergence_study
+    from .mollify import dyadic_schedule
+
     grid = _parse_grid(_take(cfg, "grid", dict))
     field = _parse_field(_take(cfg, "field", dict), grid.dim)
     study = dict(_take(cfg, "study", dict))
@@ -493,7 +484,8 @@ def run_regime_map(cfg: dict):
 
 def run_field_audit(cfg: dict):
     """``fields audit``: gate quadrature trends of the integral of |b|^p against the card."""
-    _load_numeric()
+    from .library import estimate_integrability, integrability_card, refinement_grids
+
     dim = _take(cfg, "dim", int, default=2)
     field = _parse_field(_take(cfg, "field", dict), dim)
     p_values = [float(p) for p in _take_list(cfg, "p_values", _NUMBER)]
@@ -551,6 +543,9 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     versions = {"advdiff": __version__, "python": sys.version.split()[0]}
     workers = contextlib.nullcontext()  # the regime map has no transforms and loads no scipy
     if kind != "regime-map":
+        import numpy as np
+        import scipy.fft
+
         versions |= {"numpy": np.__version__, "scipy": scipy.__version__}
         workers = scipy.fft.set_workers(threads)
 
@@ -569,6 +564,8 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
 
 
 def _fields_list_text() -> str:
+    from .library import catalog_entries
+
     rows = catalog_entries()
     header = f"{'name':20s} {'time':5s} {'p_finite_below':22s} {'alpha_time':12s} description"
     lines = [header, "-" * len(header)]
@@ -632,7 +629,6 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     if args.command == "fields" and args.fields_command == "list":
-        _load_numeric()
         sys.stdout.write(_fields_list_text())
         return EXIT_OK
     if args.command == "regime" and args.regime_command == "classify":

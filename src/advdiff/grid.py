@@ -161,7 +161,8 @@ class VectorField:
         return ScalarField(self.grid, np.sqrt(sq))
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(c.values))) for c in self.components)
+        # max and -min, not max(abs): abs would fill a full array for a broadcast view
+        return max(max(float(np.max(c.values)), -float(np.min(c.values))) for c in self.components)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.grid != self.grid:

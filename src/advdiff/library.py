@@ -180,14 +180,14 @@ def _planar_geometry(grid: TorusGrid):
 
 
 def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
-    comps = [np.full(grid.shape, spec.param(f"c{i + 1}")) for i in range(grid.dim)]
+    comps = [np.broadcast_to(spec.param(f"c{i + 1}"), grid.shape) for i in range(grid.dim)]
     return VectorField.from_arrays(grid, comps, divergence_free=True)
 
 
 def _shear_arrays(grid: TorusGrid, amplitude: float, cells: float, horizontal: bool) -> list[np.ndarray]:
     x1, x2 = grid.coordinate_mesh()
     profile = amplitude * np.sin(2.0 * np.pi * cells * (x2 if horizontal else x1))
-    comps = [np.broadcast_to(profile, grid.shape).copy(), np.zeros(grid.shape)]
+    comps = [np.broadcast_to(profile, grid.shape), np.broadcast_to(0.0, grid.shape)]
     return comps if horizontal else comps[::-1]
 
 
@@ -306,12 +306,13 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
     projected onto the discretely divergence-free fields; what the
     projection changed is recorded in the field's notes.
 
-    A planar entry is built, projected and gated on the (x1, x2) plane.  In
-    3D it is a vortex column: each plane component repeated along x3 as a
-    read-only view, and a zero third component.
+    In 3D every entry is built, projected and gated on the (x1, x2) plane
+    and lifted: each plane component repeated along x3 as a read-only view,
+    and a broadcast third component, ``c3`` for ``constant`` and 0 for the
+    planar entries, which are vortex columns.
     """
     check_dim(spec, grid.dim)
-    build_grid = TorusGrid(2, grid.points_per_axis) if spec.planar else grid
+    build_grid = TorusGrid(2, grid.points_per_axis) if grid.dim == 3 else grid
     field = _BUILDERS[spec.name](spec, build_grid, t)
     defect = divergence_defect(field)
     if defect > DIVERGENCE_GATE:
@@ -319,7 +320,7 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
     if build_grid == grid:
         return field
     comps = [np.broadcast_to(c.values[..., np.newaxis], grid.shape) for c in field.components]
-    comps.append(np.broadcast_to(0.0, grid.shape))
+    comps.append(np.broadcast_to(spec.param("c3") if spec.name == "constant" else 0.0, grid.shape))
     return VectorField.from_arrays(grid, comps, divergence_free=True, notes=field.notes)
 
 

@@ -110,7 +110,7 @@ class TestSimulateCommand:
             held.append(solve(*args, **kwargs))
             return held[-1]
 
-        monkeypatch.setattr("advdiff.cli.solve", capture)
+        monkeypatch.setattr("advdiff.solver.solve", capture)
         outs = {}
         for snapshots in (False, True):
             cfg = simulate_config(
@@ -288,7 +288,6 @@ class TestCommutatorCommand:
             pytest.fail("the study ran before the schedule was validated")
 
         monkeypatch.setattr("advdiff.commutators.convergence_study", never)
-        monkeypatch.setattr("advdiff.cli.convergence_study", never)
         cfg_path = write_config(tmp_path, "com.json", cfg)
         out = tmp_path / "study"
         assert main(["commutator", "--config", cfg_path, "--out", str(out)]) == EXIT_SCHEMA
@@ -624,15 +623,15 @@ class TestConfigValidation:
         "case", ["resolutions_repeated", "resolutions_not_power_of_two", "p_values_empty", "p_values_below_one", "p_values_repeated"]
     )
     def test_bad_audit_refused_before_compute(self, tmp_path, monkeypatch, case):
-        monkeypatch.setattr("advdiff.cli.estimate_integrability", lambda *a, **k: pytest.fail("audit computed a trend"))
+        monkeypatch.setattr("advdiff.library.estimate_integrability", lambda *a, **k: pytest.fail("audit computed a trend"))
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("case", ["audit_dim_one", "simulate_dim_one", "commutator_dim_one"])
     def test_planar_field_on_dim_one_refused_before_compute(self, tmp_path, monkeypatch, case):
-        for name in ("solve", "estimate_integrability", "convergence_study"):
-            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the dim check"))
+        for target in ("advdiff.solver.solve", "advdiff.library.estimate_integrability", "advdiff.commutators.convergence_study"):
+            monkeypatch.setattr(target, lambda *a, **k: pytest.fail("computed before the dim check"))
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
@@ -646,7 +645,7 @@ class TestConfigValidation:
 
     def test_simulate_grid_beyond_memory_refused_before_datum(self, tmp_path, monkeypatch, capsys):
         # 25 float64 arrays of 2048^3 values take 1.7e12 bytes; the datum alone would be 6.9e10
-        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a grid beyond memory"))
+        monkeypatch.setattr("advdiff.solver.solve", lambda *a, **k: pytest.fail("solve reached a grid beyond memory"))
         monkeypatch.setattr("advdiff.cli._parse_scalar_datum", lambda *a, **k: pytest.fail("allocated the datum of a grid beyond memory"))
         cfg = simulate_config(grid={"dim": 3, "points_per_axis": 2048}, initial_datum={"kind": "sine", "mode": [0, 1, 0]})
         out = tmp_path / "out"
@@ -675,8 +674,8 @@ class TestConfigValidation:
         ids=["commutator", "fields_audit"],
     )
     def test_study_grid_beyond_memory_refused_while_parsing(self, tmp_path, monkeypatch, capsys, command, cfg, message):
-        for name in ("convergence_study", "_parse_scalar_datum", "estimate_integrability"):
-            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("reached a grid beyond memory"))
+        for target in ("advdiff.commutators.convergence_study", "advdiff.cli._parse_scalar_datum", "advdiff.library.estimate_integrability"):
+            monkeypatch.setattr(target, lambda *a, **k: pytest.fail("reached a grid beyond memory"))
         out = tmp_path / "out"
         assert main([*command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
@@ -685,7 +684,7 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_modulated_shear_simulate_refused_before_compute(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("solve reached a field singular at t = 0"))
+        monkeypatch.setattr("advdiff.solver.solve", lambda *a, **k: pytest.fail("solve reached a field singular at t = 0"))
         command, cfg, _ = BAD_CONFIGS["modulated_shear_simulate"]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
@@ -708,8 +707,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "fields_audit"])
     def test_threads_below_one_refused_before_compute(self, tmp_path, monkeypatch, capsys, command, threads):
-        for name in ("solve", "convergence_study", "emit_region_map", "estimate_integrability"):
-            monkeypatch.setattr(f"advdiff.cli.{name}", lambda *a, **k: pytest.fail("computed before the threads check"))
+        for target in ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.cli.emit_region_map", "advdiff.library.estimate_integrability"):
+            monkeypatch.setattr(target, lambda *a, **k: pytest.fail("computed before the threads check"))
         argv, cfg = {
             "simulate": (["simulate"], small_simulate_config()),
             "commutator": (["commutator"], small_commutator_config()),
@@ -869,7 +868,7 @@ class TestPublish:
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate the state")
 
-        monkeypatch.setattr("advdiff.cli.solve", exhausted)
+        monkeypatch.setattr("advdiff.solver.solve", exhausted)
         out = tmp_path / "run"
         assert self.run(tmp_path, out) == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -885,7 +884,7 @@ class TestPublish:
         else:
             out.mkdir()
             (out / "notes.txt").write_text("notes")
-        monkeypatch.setattr("advdiff.cli.solve", lambda *a, **k: pytest.fail("computed before refusing the target"))
+        monkeypatch.setattr("advdiff.solver.solve", lambda *a, **k: pytest.fail("computed before refusing the target"))
         assert self.run(tmp_path, out) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o failure:") and "Traceback" not in err
@@ -916,13 +915,17 @@ class _ReachedCompute(Exception):
     pass
 
 
+# The first function each command's compute calls, on the module the command reads it from.
+COMPUTE_ENTRIES = ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.cli.emit_region_map", "advdiff.library.integrability_card")
+
+
 @pytest.mark.parametrize("cfg", README_CONFIGS, ids=readme_ids(README_CONFIGS))
 def test_readme_config_examples_parse(tmp_path, monkeypatch, cfg):
     def reached(*args, **kwargs):
         raise _ReachedCompute
 
-    for name in ("solve", "convergence_study", "emit_region_map", "integrability_card"):
-        monkeypatch.setattr(f"advdiff.cli.{name}", reached)
+    for target in COMPUTE_ENTRIES:
+        monkeypatch.setattr(target, reached)
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     with pytest.raises(_ReachedCompute):
         main([*KIND_COMMANDS[cfg["kind"]], "--config", cfg_path, "--out", str(tmp_path / "out")])
@@ -989,8 +992,8 @@ def test_benchmark_requests_parse(tmp_path, monkeypatch, name):
     def reached(*args, **kwargs):
         raise _ReachedCompute
 
-    for target in ("solve", "convergence_study", "emit_region_map", "integrability_card"):
-        monkeypatch.setattr(f"advdiff.cli.{target}", reached)
+    for target in COMPUTE_ENTRIES:
+        monkeypatch.setattr(target, reached)
     wl = BENCH_WORKLOADS[name]
     cfg_path = pathlib.Path(write_config(tmp_path, "cfg.json", wl.config(0)))
     with pytest.raises(_ReachedCompute):

@@ -1,13 +1,17 @@
 """The package surface: each public name has one import path, its owner module's,
-and a caller in the package; and one function, ``cli._publish``, writes to the
-file system, in the package and in every other program file outside ``tests/``
-and ``perfbench/``."""
+and a caller in the package; every global name a module reads is bound in it;
+each command loads only the modules it uses, none after its compute starts;
+and one function, ``cli._publish``, writes to the file system, in the package
+and in every other program file outside ``tests/`` and ``perfbench/``."""
 
 import ast
+import builtins
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -19,12 +23,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "advdiff").glob("*.py"))
 
 
+def fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package from ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
 def loaded_modules(statement: str) -> set[str]:
     """The keys of ``sys.modules`` after ``statement`` runs, its stdout discarded, in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = f"import contextlib, io, sys\nwith contextlib.redirect_stdout(io.StringIO()):\n    {statement}\nprint('\\n'.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    return set(proc.stdout.split())
+    return set(fresh_stdout(code).split())
 
 
 def test_regimes_imports_no_numeric_stack():
@@ -48,6 +57,68 @@ def test_cli_regime_paths_load_no_numeric_stack(tmp_path, statement):
     assert {name.split(".")[0] for name in loaded} & {"numpy", "scipy"} == set()
     assert "importlib.metadata" not in loaded  # the regime map manifest names advdiff and python only
     assert "advdiff.cli" in loaded
+
+
+# Each numeric command's modules at the moment its compute starts and at exit, in a fresh interpreter.
+COMPUTE_MODULES = """
+import contextlib, io, json, sys
+import advdiff.cli as cli
+
+at_compute = []
+
+def observed(runner):
+    def run(cfg):
+        grid, tolerances, compute = runner(cfg)
+
+        def compute_observed():
+            at_compute.append(sorted(sys.modules))
+            return compute()
+
+        return grid, tolerances, compute_observed
+    return run
+
+cli._RUNS = {{command: (kind, observed(runner)) for command, (kind, runner) in cli._RUNS.items()}}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps({{"code": code, "at_compute": at_compute, "at_exit": sorted(sys.modules)}}))
+"""
+
+NUMERIC_RUNS = {
+    "simulate": (
+        ["simulate"],
+        {
+            "kind": "simulate", "grid": {"dim": 2, "points_per_axis": 16}, "field": {"name": "taylor_green"},
+            "initial_datum": {"kind": "sine", "mode": [1, 0]}, "solver": {"t_final": 0.01, "dt": 0.005},
+            "outputs": {"snapshots": True},
+        },
+    ),
+    "commutator": (
+        ["commutator"],
+        {
+            "kind": "commutator", "grid": {"dim": 2, "points_per_axis": 16}, "field": {"name": "taylor_green"},
+            "w": {"kind": "sine", "mode": [1, 0]}, "study": {"delta0": 0.2, "levels": 2},
+        },
+    ),
+    "fields_audit": (
+        ["fields", "audit"],
+        {"kind": "field-audit", "field": {"name": "shear"}, "p_values": [2.0], "resolutions": [16, 32, 64]},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
+def test_numeric_commands_load_nothing_after_compute_starts(tmp_path, run):
+    # a module loaded after compute pins the heap that compute freed beneath it
+    argv, cfg = NUMERIC_RUNS[run]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    argv = [*argv, "--config", str(config), "--out", str(tmp_path / "out")]
+    seen = json.loads(fresh_stdout(COMPUTE_MODULES.format(argv=argv)))
+    assert seen["code"] == 0
+    assert len(seen["at_compute"]) == 1
+    assert set(seen["at_exit"]) - set(seen["at_compute"][0]) == set()
+    if run != "commutator":  # only the study uses advdiff.commutators
+        assert "advdiff.commutators" not in seen["at_exit"]
 
 
 @pytest.mark.parametrize(
@@ -87,12 +158,43 @@ def test_imported_names_are_public_in_their_owner():
     assert stray == []
 
 
-def test_cli_numeric_names_are_public_in_their_owner():
-    from advdiff.cli import _NUMERIC  # the names cli binds on first use, which no import statement names
+def unbound_globals(source: str, filename: str) -> set[str]:
+    """The global names ``source`` reads that no import, ``def``, ``class`` or assignment in it binds, builtins apart."""
+    top = symtable.symtable(source, filename, "exec")
+    bound = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported() or s.is_namespace()}
+    read = set()
 
-    stray = [f"advdiff{module}.{name}" for module, names in _NUMERIC.items() for name in names
-             if name not in importlib.import_module(f"advdiff{module}").__all__]
-    assert stray == []
+    def walk(table):
+        for s in table.get_symbols():
+            if s.is_referenced() and (table is top or s.is_global()):
+                read.add(s.get_name())
+            if s.is_declared_global() and s.is_assigned():
+                bound.add(s.get_name())
+        for child in table.get_children():
+            walk(child)
+
+    walk(top)
+    return read - bound - set(dir(builtins))
+
+
+@pytest.mark.parametrize(
+    "source, unbound",
+    [
+        ("import numpy as np\nx = np.pi", set()),
+        ("def f():\n    return np.pi", {"np"}),
+        ("def f():\n    import numpy as np\n    return np.pi", set()),
+        ("def f():\n    global n\n    n = 1\ndef g():\n    return n + len([])", set()),
+        ("class C:\n    x = y", {"y"}),
+    ],
+)
+def test_unbound_globals_guard(source, unbound):
+    assert unbound_globals(source, "<guard>") == unbound
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_global_name_is_bound(path):
+    # a name bound only at run time (through globals() or a module __getattr__) is one no reader can follow
+    assert unbound_globals(path.read_text(), str(path)) == set()
 
 
 def test_every_exported_name_resolves():
