@@ -253,16 +253,22 @@ def _check_target(out_dir: Path) -> None:
         raise FileExistsError(f"{out_dir}: refusing to replace what is neither an empty directory nor a previous run")
 
 
-def _publish(out_dir: Path, files: dict[str, str | bytes]) -> None:
-    """Write ``files`` into a staged sibling of ``out_dir`` and rename it into place.
+@contextlib.contextmanager
+def _publish(out_dir: Path):
+    """Stage a sibling of ``out_dir``; on a clean exit, write the files put in the yielded dict there and rename them into place.
 
-    A previous run is moved into the stage first and deleted with it; if any
-    step fails, ``out_dir`` is left as it was.
+    The stage is made on entry, before the compute: the first ``mkdtemp``
+    creates ``tempfile``'s process-lifetime name generator, which made after
+    the compute would sit above the heap the compute freed and pin it.  A
+    previous run is moved into the stage and deleted with it; if any step
+    fails, ``out_dir`` is left as it was.  The stage is always removed.
     """
-    _check_target(out_dir)  # again: the directory may have changed during the compute
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out_dir.parent))
     try:
+        files: dict[str, str | bytes] = {}
+        yield files
+        _check_target(out_dir)  # again: the directory may have changed during the compute
         new, old = stage / "run", stage / "previous"
         new.mkdir()
         for name, payload in files.items():
@@ -549,14 +555,14 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
         versions |= {"numpy": np.__version__, "scipy": scipy.__version__}
         workers = scipy.fft.set_workers(threads)
 
-    start = time.perf_counter()
-    with workers:
-        gates, metrics, render = compute()
-    wall = time.perf_counter() - start
+    with _publish(out_dir) as files:
+        start = time.perf_counter()
+        with workers:
+            gates, metrics, render = compute()
+        wall = time.perf_counter() - start
 
-    files = render()
-    files["manifest.json"] = _manifest(raw, versions, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
-    _publish(out_dir, files)
+        files |= render()
+        files["manifest.json"] = _manifest(raw, versions, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
     return gates, out_dir
 
 

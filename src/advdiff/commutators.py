@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_from_values, lp_norm
-from .library import FieldSpec, log_log_slope
+from .library import FieldSpec, VelocitySampler, log_log_slope
 from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
-from .solver import Trajectory, VelocitySampler, simpson
+from .solver import Trajectory
 from .spectral import divergence, spectral_core
 
 __all__ = [
@@ -259,6 +259,8 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     """
     if b is None:
         raise ValueError("the energy coupling needs a velocity b: without one the commutator vanishes")
+    from scipy.integrate import simpson  # no command runs this, so no command process loads scipy.integrate
+
     grid = traj.grid
     if len(traj.states) < 5:
         raise ValueError("trajectory must carry densely recorded snapshots")
@@ -289,7 +291,7 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
 
     out = []
     for m, grad_j, pairing_j, (half_start, half_end) in zip(molls, grad_sq, pairing, half_sq):
-        residual = half_end + simpson(np.asarray(grad_j), times) - half_start
-        coupling = simpson(np.asarray(pairing_j), times)
+        residual = half_end + float(simpson(np.asarray(grad_j), x=times)) - half_start
+        coupling = float(simpson(np.asarray(pairing_j), x=times))
         out.append(CouplingRecord(m.delta, residual, coupling))
     return tuple(out)

@@ -84,7 +84,8 @@ class ScalarField:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != self.grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN reaches both reductions and each infinity one; unlike np.isfinite, neither fills an N^d array for a broadcast view
+        if not (math.isfinite(np.max(arr)) and math.isfinite(np.min(arr))):
             raise ValueError("field values must be finite (no NaN/Inf)")
         if arr.flags.writeable:
             arr = arr.copy()

@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, lp_norm, wrapped_displacement
+from .mollify import Mollifier, mollify
 from .spectral import divergence_defect, leray_project, perp_gradient
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "FieldSpec",
     "IntegrabilityCard",
     "TrendReport",
+    "VelocitySampler",
     "check_dim",
     "instantiate",
     "sample_key",
@@ -339,6 +341,48 @@ def sample_key(spec: FieldSpec, t: float) -> int | float | None:
     return _switch_parity(spec, t)
 
 
+class VelocitySampler:
+    """b(t) of a source b (None, a VectorField or a FieldSpec), optionally
+    mollified, sampled once per ``sample_key`` as (field, max |b|);
+    with no source, ``field(t)`` is None and ``max_abs(t)`` is 0.
+
+    At most two samples are kept, the oldest dropped first: both parities of
+    a switching field fit, and callers ask for time-keyed samples in increasing t.
+    """
+
+    def __init__(self, b, grid: TorusGrid, moll: Mollifier | None = None):
+        if isinstance(b, VectorField):
+            if b.grid != grid:
+                raise ValueError("velocity field grid does not match the solution grid")
+        elif b is not None and not isinstance(b, FieldSpec):
+            raise TypeError(f"unsupported velocity source {type(b).__name__}")
+        self.b = b
+        self.grid = grid
+        self._moll = moll
+        self._samples: dict[object, tuple[VectorField, float]] = {}
+
+    def _sample(self, t: float) -> tuple[VectorField, float] | None:
+        if self.b is None:
+            return None
+        key = sample_key(self.b, t) if isinstance(self.b, FieldSpec) else None
+        if key not in self._samples:
+            v = self.b if isinstance(self.b, VectorField) else instantiate(self.b, self.grid, t)
+            if self._moll is not None:
+                v = mollify(v, self._moll)
+            if len(self._samples) == 2:
+                del self._samples[next(iter(self._samples))]
+            self._samples[key] = v, v.max_abs()
+        return self._samples[key]
+
+    def field(self, t: float) -> VectorField | None:
+        sample = self._sample(t)
+        return None if sample is None else sample[0]
+
+    def max_abs(self, t: float) -> float:
+        sample = self._sample(t)
+        return 0.0 if sample is None else sample[1]
+
+
 def log_log_slope(x, y) -> float:
     """Least-squares slope of log(y) against log(x); y is floored at 1e-300 so a zero stays finite."""
     return float(np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)[0])
@@ -384,21 +428,16 @@ def estimate_integrability(spec: FieldSpec, p_values, resolutions, dim: int = 2)
     return tuple(_fit_trend(trend) for trend in samples)
 
 
-def estimate_time_integrability(
-    spec: FieldSpec,
-    grid: TorusGrid,
-    alpha: float,
-    t_final: float = 1.0,
-    levels: int = 6,
-    nodes_per_level: int = 600,
-) -> TrendReport:
-    """Trend of the integral of ||b(t)||_2^alpha over [t_min, T] as t_min -> 0.
+def estimate_time_integrability(spec: FieldSpec, grid: TorusGrid, alpha: float) -> TrendReport:
+    """Trend of the integral of ||b(t)||_2^alpha over [t_min, T] as t_min -> 0, with T = 1.
 
-    The lower cutoff is refined dyadically from T/20; growth without bound
-    flags a diverging time integral.
+    The lower cutoff is refined dyadically from T/20 over 6 levels, each
+    integrated over 600 geometric nodes; growth without bound flags a
+    diverging time integral.
     """
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
+    t_final, levels, nodes_per_level = 1.0, 6, 600
     samples = []
     for j in range(levels):
         t_min = (t_final / 20.0) * 0.5**j

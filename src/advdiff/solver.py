@@ -18,15 +18,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverAbort
-from .grid import ScalarField, TorusGrid, VectorField, lp_from_values
-from .library import FieldSpec, instantiate, integrability_card, sample_key
+from .grid import ScalarField, TorusGrid, lp_from_values
+from .library import FieldSpec, VelocitySampler, integrability_card
 from .mollify import Mollifier, check_profile, mollify
 from .spectral import gradient, laplacian, spectral_core
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "VelocitySampler",
     "ConvexFunction",
     "HALF_SQUARE",
     "ARCTAN_PRIMITIVE",
@@ -36,7 +35,6 @@ __all__ = [
     "solve",
     "beta_dissipation",
     "weak_residual",
-    "simpson",
 ]
 
 # The L^q norm columns of ``Trajectory.diagnostics`` and their exponents q.
@@ -139,78 +137,6 @@ class Trajectory:
     @property
     def final_state(self) -> ScalarField:
         return self.states[-1]
-
-
-class VelocitySampler:
-    """b(t) of a source b (None, a VectorField or a FieldSpec), optionally
-    mollified, sampled once per ``library.sample_key`` as (field, max |b|);
-    with no source, ``field(t)`` is None and ``max_abs(t)`` is 0.
-
-    At most two samples are kept, the oldest dropped first: both parities of
-    a switching field fit, and callers ask for time-keyed samples in increasing t.
-    """
-
-    def __init__(self, b, grid: TorusGrid, moll: Mollifier | None = None):
-        if isinstance(b, VectorField):
-            if b.grid != grid:
-                raise ValueError("velocity field grid does not match the solution grid")
-        elif b is not None and not isinstance(b, FieldSpec):
-            raise TypeError(f"unsupported velocity source {type(b).__name__}")
-        self.b = b
-        self.grid = grid
-        self._moll = moll
-        self._samples: dict[object, tuple[VectorField, float]] = {}
-
-    def _sample(self, t: float) -> tuple[VectorField, float] | None:
-        if self.b is None:
-            return None
-        key = sample_key(self.b, t) if isinstance(self.b, FieldSpec) else None
-        if key not in self._samples:
-            v = self.b if isinstance(self.b, VectorField) else instantiate(self.b, self.grid, t)
-            if self._moll is not None:
-                v = mollify(v, self._moll)
-            if len(self._samples) == 2:
-                del self._samples[next(iter(self._samples))]
-            self._samples[key] = v, v.max_abs()
-        return self._samples[key]
-
-    def field(self, t: float) -> VectorField | None:
-        sample = self._sample(t)
-        return None if sample is None else sample[0]
-
-    def max_abs(self, t: float) -> float:
-        sample = self._sample(t)
-        return 0.0 if sample is None else sample[1]
-
-
-def _basic_simpson(y: np.ndarray, h: np.ndarray, stop: int) -> np.float64:
-    """Composite Simpson over the sample triples that start at 0, 2, ... below ``stop``, at spacings ``h``."""
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    weighted = y[0:stop:2] * (2.0 - 1.0 / ratio) + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod)) + y[2 : stop + 2 : 2] * (2.0 - ratio)
-    return np.sum(hsum / 6.0 * weighted)
-
-
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Simpson's rule for the samples ``y`` at strictly increasing ``x``.
-
-    The arithmetic of ``scipy.integrate.simpson(y, x=x)`` (scipy >= 1.11),
-    bit for bit: an even sample count corrects the last interval by
-    Cartwright's rule, and two samples take the trapezoid.  Both even cases
-    end with scipy's ``+ 0.0``, which turns a -0.0 result into 0.0.
-    """
-    n = len(y)
-    h = np.diff(x)
-    if n % 2:
-        return float(_basic_simpson(y, h, n - 2))
-    if n == 2:
-        return float(0.0 + 0.5 * h[0] * (y[1] + y[0]))
-    h0, h1 = h[-2:, np.newaxis]  # length-1 arrays: numpy rounds a power of a float64 scalar differently
-    alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1**3 / (6 * h0 * (h0 + h1))
-    last = alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(_basic_simpson(y, h, n - 3) + last[0] + 0.0)
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -394,6 +320,8 @@ def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
     if float(np.max(np.abs(end_vals))) > 1e-12 * scale:
         raise ValueError("test function must vanish at the final time")
 
+    from scipy.integrate import simpson  # no command runs this, so no command process loads scipy.integrate
+
     sampler = VelocitySampler(b, grid)
     cell = grid.cell_volume
     integrand = []
@@ -405,6 +333,6 @@ def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
             for bj, gj in zip(b_t.components, gradient(w).components):
                 total = total + bj.values * gj.values
         integrand.append(float(np.sum(state.values * total)) * cell)
-    space_time = simpson(np.asarray(integrand), traj.times)
+    space_time = float(simpson(np.asarray(integrand), x=traj.times))
     initial = float(np.sum(traj.states[0].values * np.asarray(phi.value(0.0, grid)))) * cell
     return abs(space_time + initial)

@@ -22,8 +22,9 @@ from scratch: label, flag string and coordinates, once for the CSV and once
 for the SVG.  They read only the public fields of each report.
 
 The time quadratures here are scipy's ``simpson`` and
-``cumulative_simpson``, imported for this purpose alone: ``advdiff.solver``
-ports both to numpy and must equal them bit for bit.
+``cumulative_simpson``.  The package ports only ``cumulative_simpson`` to
+numpy, in ``advdiff.solver``, and must equal it bit for bit; its two
+library-only callers of ``simpson`` import scipy's.
 
 The catalog builders here are the full-grid forms of ``power_singularity``
 and ``rotation_bump``: every radial-profile temporary spans the whole grid,

@@ -894,6 +894,17 @@ class TestPublish:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         assert not list(tmp_path.glob(".tmp-run-*"))
 
+    def test_uncreatable_parent_refused_before_compute(self, tmp_path, monkeypatch, capsys):
+        # the stage is made before the compute, beside the output directory
+        blocker = tmp_path / "notes"
+        blocker.write_text("notes")
+        monkeypatch.setattr("advdiff.solver.solve", lambda *a, **k: pytest.fail("computed before staging the output"))
+        assert self.run(tmp_path, blocker / "run") == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure:") and "Traceback" not in err
+        assert blocker.read_text() == "notes"
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 README_CONFIGS = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", README.read_text(), re.S) if '"kind"' in block]

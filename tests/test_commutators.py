@@ -268,7 +268,7 @@ class TestStudyMatchesLevelByLevelOracle:
 
 class TestStudyWorkCount:
     def test_static_study_instantiates_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("taylor_green"), w_source=random_field(TorusGrid(2, 128), seed=82),
             delta_schedule=dyadic_schedule(0.2, 5), norm=L2_HMINUS1,
@@ -278,7 +278,7 @@ class TestStudyWorkCount:
 
     def test_time_dependent_study_instantiates_once_per_node(self, monkeypatch, grid64):
         # Unmodulated, the six nodes share the two parities of the switch.
-        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=random_field(grid64, seed=83),
             delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
@@ -287,7 +287,7 @@ class TestStudyWorkCount:
         assert len(calls) == 2
 
     def test_modulated_study_instantiates_once_per_node(self, monkeypatch, grid64):
-        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
             w_source=random_field(grid64, seed=83), delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,

@@ -83,6 +83,15 @@ class TestScalarField:
         with pytest.raises(ValueError, match="finite"):
             ScalarField(grid32, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_broadcast_view(self, bad):
+        # the check reads the view's max and min: NaN reaches both, each infinity one
+        g = TorusGrid(3, 16)
+        plane = np.zeros(g.shape[:2])
+        plane[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(g, np.broadcast_to(plane[..., None], g.shape))
+
     def test_rejects_wrong_shape(self, grid32):
         with pytest.raises(ValueError, match="shape"):
             ScalarField(grid32, np.zeros((3, 3)))

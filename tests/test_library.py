@@ -312,6 +312,12 @@ class TestVortexColumns:
         assert all(not c.values.flags.writeable for c in v.components)
         assert [float(np.min(c.values)) for c in v.components] == [float(np.max(c.values)) for c in v.components] == [1.0, -0.5, 0.7]
 
+    def test_constant_lift_checks_finiteness_without_a_state_temporary(self):
+        # np.isfinite over each broadcast component filled an N^3 bool array: a peak of 0.128 arrays
+        g = TorusGrid(3, 64)
+        spec = FieldSpec("constant", {"c3": 0.7})
+        assert peak_state_arrays(lambda: instantiate(spec, g), g) <= 0.1
+
     def test_max_abs_of_a_lift_holds_no_state_array(self):
         # max(|c|) filled an N^3 array for each broadcast component: a peak of 1.03 arrays
         g = TorusGrid(3, 64)

@@ -6,6 +6,7 @@ and in every other program file outside ``tests/`` and ``perfbench/``."""
 
 import ast
 import builtins
+import functools
 import importlib
 import json
 import os
@@ -59,12 +60,17 @@ def test_cli_regime_paths_load_no_numeric_stack(tmp_path, statement):
     assert "advdiff.cli" in loaded
 
 
-# Each numeric command's modules at the moment its compute starts and at exit, in a fresh interpreter.
+# Each numeric command's modules, and its count of random.Random instances,
+# at the moment its compute starts and at exit, in a fresh interpreter.
 COMPUTE_MODULES = """
-import contextlib, io, json, sys
+import contextlib, gc, io, json, random, sys
 import advdiff.cli as cli
 
 at_compute = []
+randoms_at_compute = []
+
+def randoms():
+    return sum(isinstance(obj, random.Random) for obj in gc.get_objects())
 
 def observed(runner):
     def run(cfg):
@@ -72,6 +78,7 @@ def observed(runner):
 
         def compute_observed():
             at_compute.append(sorted(sys.modules))
+            randoms_at_compute.append(randoms())
             return compute()
 
         return grid, tolerances, compute_observed
@@ -80,7 +87,10 @@ def observed(runner):
 cli._RUNS = {{command: (kind, observed(runner)) for command, (kind, runner) in cli._RUNS.items()}}
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps({{"code": code, "at_compute": at_compute, "at_exit": sorted(sys.modules)}}))
+print(json.dumps({{
+    "code": code, "at_compute": at_compute, "at_exit": sorted(sys.modules),
+    "randoms_at_compute": randoms_at_compute, "randoms_at_exit": randoms(),
+}}))
 """
 
 NUMERIC_RUNS = {
@@ -106,26 +116,52 @@ NUMERIC_RUNS = {
 }
 
 
+@pytest.fixture(scope="module")
+def observe(tmp_path_factory):
+    """What ``COMPUTE_MODULES`` reports for a run of ``NUMERIC_RUNS``, one fresh interpreter per run."""
+
+    @functools.cache
+    def observe(run: str) -> dict:
+        argv, cfg = NUMERIC_RUNS[run]
+        tmp = tmp_path_factory.mktemp(run)
+        config = tmp / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(config), "--out", str(tmp / "out")]
+        return json.loads(fresh_stdout(COMPUTE_MODULES.format(argv=argv)))
+
+    return observe
+
+
 @pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
-def test_numeric_commands_load_nothing_after_compute_starts(tmp_path, run):
+def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
     # a module loaded after compute pins the heap that compute freed beneath it
-    argv, cfg = NUMERIC_RUNS[run]
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(cfg))
-    argv = [*argv, "--config", str(config), "--out", str(tmp_path / "out")]
-    seen = json.loads(fresh_stdout(COMPUTE_MODULES.format(argv=argv)))
+    seen = observe(run)
     assert seen["code"] == 0
     assert len(seen["at_compute"]) == 1
     assert set(seen["at_exit"]) - set(seen["at_compute"][0]) == set()
     if run != "commutator":  # only the study uses advdiff.commutators
         assert "advdiff.commutators" not in seen["at_exit"]
+    # the package ports the one Simpson rule a command runs; its library-only callers import scipy's
+    assert "scipy.integrate" not in seen["at_exit"]
+
+
+@pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
+def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
+    # tempfile's name generator, made by the first mkdtemp, is a process-lifetime
+    # random.Random: made after compute, it pinned the heap compute freed beneath it
+    seen = observe(run)
+    assert seen["code"] == 0
+    assert seen["randoms_at_compute"] == [seen["randoms_at_exit"]]
 
 
 @pytest.mark.parametrize(
     "module, unwanted",
     [
-        # scipy.integrate brought scipy.optimize, scipy.linalg and scipy.sparse; advdiff.solver owns the Simpson rules
+        # scipy.integrate brings scipy.optimize, scipy.linalg and scipy.sparse; advdiff.solver ports the
+        # cumulative Simpson rule simulate runs, and the library-only callers of simpson import scipy's in their bodies
         ("advdiff.cli", {"scipy.integrate", "scipy.optimize", "scipy.sparse"}),
+        ("advdiff.solver", {"scipy.integrate"}),
+        ("advdiff.commutators", {"scipy.integrate"}),
         # xml.sax.saxutils brought urllib.request; html.escape does not
         ("advdiff.regimes", {"urllib.request"}),
     ],
