@@ -380,6 +380,7 @@ def run_simulate(cfg: dict):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
     from .fieldio import field_bytes
     from .solver import solve
+    from .spectral import _dealias_band
 
     grid = _parse_grid(_take(cfg, "grid", dict))
     _check_fits(grid, _SIMULATE_STATE_ARRAYS)
@@ -387,7 +388,7 @@ def run_simulate(cfg: dict):
     if field is not None and field.time_dependent and field.param("modulation_exponent") > 0.0:  # |b(t)| ~ t^-beta
         raise SchemaError(f"field: {field.name} with modulation_exponent > 0 is singular at t = 0, where simulate starts")
     datum = _take(cfg, "initial_datum", dict)
-    u0 = _parse_scalar_datum(datum, grid, _rng(cfg), band=grid.points_per_axis // 3)  # the modes the solver keeps
+    u0 = _parse_scalar_datum(datum, grid, _rng(cfg), band=_dealias_band(grid.points_per_axis))  # the modes the solver keeps
     solver_cfg = _parse_solver(_take(cfg, "solver", dict), grid)
     outputs_block = dict(_take(cfg, "outputs", dict, default={}))
     write_diag = _take(outputs_block, "diagnostics_csv", bool, default=True, context="outputs")

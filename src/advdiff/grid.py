@@ -72,9 +72,9 @@ class TorusGrid:
 class ScalarField:
     """Real samples of a scalar function at the grid points.
 
-    Values are an immutable snapshot: the array is copied on construction
-    unless it is already read-only, and every operation returns a new field.
-    Construction rejects non-finite values.
+    A read-only sample holder: the array is copied on construction unless it
+    is already read-only, and code computes with ``.values``.  Construction
+    rejects non-finite values.
     """
 
     grid: TorusGrid
@@ -93,54 +93,22 @@ class ScalarField:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
-        """Sample fn(*coords) on the grid; fn must broadcast over coordinate arrays."""
-        mesh = grid.coordinate_mesh()
-        return cls(grid, np.broadcast_to(fn(*mesh), grid.shape).astype(np.float64))
-
-    @classmethod
     def constant(cls, grid: TorusGrid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, other) -> "ScalarField":
-        if isinstance(other, ScalarField):
-            self._check_same_grid(other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
-    def _check_same_grid(self, other: "ScalarField") -> None:
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 @dataclass(frozen=True)
 class VectorField:
     """dim-tuple of scalar components sharing one grid.
 
-    ``divergence_free`` is a certification set by producers (the projection
-    and the catalog), never guessed.  ``notes`` is a free-form warning
-    channel, e.g. for under-resolved singularities.
+    The container certifies nothing: a catalog field is divergence-free
+    because ``library.instantiate`` measures its spectral divergence against
+    a gate.  ``notes`` is a free-form warning channel, e.g. for
+    under-resolved singularities.
     """
 
     grid: TorusGrid
     components: tuple[ScalarField, ...]
-    divergence_free: bool = False
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -154,8 +122,8 @@ class VectorField:
         object.__setattr__(self, "notes", tuple(self.notes))
 
     @classmethod
-    def from_arrays(cls, grid: TorusGrid, arrays, **kwargs) -> "VectorField":
-        return cls(grid, tuple(ScalarField(grid, a) for a in arrays), **kwargs)
+    def from_arrays(cls, grid: TorusGrid, arrays, notes: tuple[str, ...] = ()) -> "VectorField":
+        return cls(grid, tuple(ScalarField(grid, a) for a in arrays), notes)
 
     def magnitude(self) -> ScalarField:
         sq = sum(c.values**2 for c in self.components)
@@ -164,21 +132,6 @@ class VectorField:
     def max_abs(self) -> float:
         # max and -min, not max(abs): abs would fill a full array for a broadcast view
         return max(max(float(np.max(c.values)), -float(np.min(c.values))) for c in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return VectorField(self.grid, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, factor: float) -> "VectorField":
-        return VectorField(
-            self.grid,
-            tuple(c * float(factor) for c in self.components),
-            divergence_free=self.divergence_free,
-            notes=self.notes,
-        )
-
-    __rmul__ = __mul__
 
 
 def wrapped_displacement(coords, center) -> list[np.ndarray]:

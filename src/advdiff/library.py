@@ -1,10 +1,11 @@
 """Catalog of divergence-free velocity fields with integrability metadata.
 
-Every entry instantiates to a certified divergence-free VectorField.  The
-singular entry trades closed-form control of its L^p membership (through an
-explicit exponent) for a discrete divergence gate enforced by projection, so
-each region of the integrability diagrams is reachable by at least one
-catalog field.
+Divergence-freeness is measured, not declared: ``instantiate`` refuses any
+field whose spectral divergence exceeds ``DIVERGENCE_GATE``.  The singular
+entry trades closed-form control of its L^p membership (through an explicit
+exponent) for a Leray projection that brings it under that gate, so each
+region of the integrability diagrams is reachable by at least one catalog
+field.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class IntegrabilityCard:
 class TrendReport:
     verdict: str  # "converging" | "diverging" | "inconclusive"
     slope: float
-    samples: tuple[tuple[float, float], ...]
 
 
 def integrability_card(spec: FieldSpec) -> IntegrabilityCard:
@@ -183,7 +183,7 @@ def _planar_geometry(grid: TorusGrid):
 
 def _build_constant(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     comps = [np.broadcast_to(spec.param(f"c{i + 1}"), grid.shape) for i in range(grid.dim)]
-    return VectorField.from_arrays(grid, comps, divergence_free=True)
+    return VectorField.from_arrays(grid, comps)
 
 
 def _shear_arrays(grid: TorusGrid, amplitude: float, cells: float, horizontal: bool) -> list[np.ndarray]:
@@ -195,7 +195,7 @@ def _shear_arrays(grid: TorusGrid, amplitude: float, cells: float, horizontal: b
 
 def _build_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
     comps = _shear_arrays(grid, spec.param("amplitude"), spec.param("cells"), horizontal=True)
-    return VectorField.from_arrays(grid, comps, divergence_free=True)
+    return VectorField.from_arrays(grid, comps)
 
 
 def _build_taylor_green(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
@@ -205,7 +205,7 @@ def _build_taylor_green(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorFie
     b1 = -two_pi * a * np.sin(two_pi * x1) * np.cos(two_pi * x2)
     b2 = two_pi * a * np.cos(two_pi * x1) * np.sin(two_pi * x2)
     comps = [np.broadcast_to(b1, grid.shape), np.broadcast_to(b2, grid.shape)]
-    return VectorField.from_arrays(grid, comps, divergence_free=True)
+    return VectorField.from_arrays(grid, comps)
 
 
 def _build_rotation_bump(spec: FieldSpec, grid: TorusGrid, t: float) -> VectorField:
@@ -258,7 +258,7 @@ def _build_power_singularity(spec: FieldSpec, grid: TorusGrid, t: float) -> Vect
         notes.append(f"singular peak truncated at the grid scale (exponent={a}, N={grid.points_per_axis})")
     shift = _relative_l2_shift(raw, projected)
     notes.append(f"leray projection moved the field by {shift:.3e} relative L2")
-    return VectorField(grid, projected.components, divergence_free=True, notes=tuple(notes))
+    return VectorField(grid, projected.components, notes=tuple(notes))
 
 
 def _relative_l2_shift(before: VectorField, after: VectorField) -> float:
@@ -282,7 +282,7 @@ def _build_alternating_shear(spec: FieldSpec, grid: TorusGrid, t: float) -> Vect
     modulation = t**-beta if beta > 0.0 else 1.0
     horizontal = _switch_parity(spec, t) == 0
     comps = _shear_arrays(grid, spec.param("amplitude") * modulation, spec.param("cells"), horizontal=horizontal)
-    return VectorField.from_arrays(grid, comps, divergence_free=True)
+    return VectorField.from_arrays(grid, comps)
 
 
 _BUILDERS = {
@@ -302,10 +302,12 @@ def check_dim(spec: FieldSpec, dim: int) -> None:
 
 
 def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField:
-    """Sample the catalog field on the grid at time t and certify its divergence.
+    """Sample the catalog field on the grid at time t, refused unless divergence-free.
 
-    Static entries ignore t.  The singular entry is returned already
-    projected onto the discretely divergence-free fields; what the
+    The field's spectral divergence, relative to its largest component, must
+    not exceed ``DIVERGENCE_GATE``; no tag on the field stands in for this
+    measurement.  Static entries ignore t.  The singular entry is returned
+    already projected onto the discretely divergence-free fields; what the
     projection changed is recorded in the field's notes.
 
     In 3D every entry is built, projected and gated on the (x1, x2) plane
@@ -323,7 +325,7 @@ def instantiate(spec: FieldSpec, grid: TorusGrid, t: float = 0.0) -> VectorField
         return field
     comps = [np.broadcast_to(c.values[..., np.newaxis], grid.shape) for c in field.components]
     comps.append(np.broadcast_to(spec.param("c3") if spec.name == "constant" else 0.0, grid.shape))
-    return VectorField.from_arrays(grid, comps, divergence_free=True, notes=field.notes)
+    return VectorField.from_arrays(grid, comps, notes=field.notes)
 
 
 def sample_key(spec: FieldSpec, t: float) -> int | float | None:
@@ -397,7 +399,7 @@ def _fit_trend(samples) -> TrendReport:
         verdict = "diverging"
     else:
         verdict = "inconclusive"
-    return TrendReport(verdict=verdict, slope=slope, samples=tuple(samples))
+    return TrendReport(verdict=verdict, slope=slope)
 
 
 def refinement_grids(resolutions, dim: int) -> tuple[TorusGrid, ...]:
@@ -449,7 +451,7 @@ def estimate_time_integrability(spec: FieldSpec, grid: TorusGrid, alpha: float) 
 
 
 def catalog_entries() -> tuple[dict, ...]:
-    """One row per catalog entry: name, defaults, description, card at defaults."""
+    """One row per catalog entry: name, description, card at defaults."""
     rows = []
     for name in _DEFAULT_PARAMS:
         spec = FieldSpec(name)
@@ -457,7 +459,6 @@ def catalog_entries() -> tuple[dict, ...]:
         rows.append(
             {
                 "name": name,
-                "defaults": dict(_DEFAULT_PARAMS[name]),
                 "description": _DESCRIPTIONS[name],
                 "p_finite_below": card.p_finite_below,
                 "alpha_time": card.alpha_time,

@@ -134,7 +134,7 @@ def mollify(f, m: Mollifier):
         return _mollify_scalar(f, m)
     if isinstance(f, VectorField):
         comps = tuple(_mollify_scalar(c, m) for c in f.components)
-        return VectorField(f.grid, comps, divergence_free=f.divergence_free, notes=f.notes)
+        return VectorField(f.grid, comps, notes=f.notes)
     raise TypeError(f"cannot mollify object of type {type(f).__name__}")
 
 

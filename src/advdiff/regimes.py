@@ -232,15 +232,13 @@ def classify_exponents(d: int, alpha, p, q) -> RegimeReport:
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Rasterized (1/p, 1/q) square at one (d, 1/alpha) slice; cell centers are sampled."""
+    """Rasterized (1/p, 1/q) square at one (d, 1/alpha) slice; cell (i, j) is sampled at its
+    center ((i + 0.5) / resolution, (j + 0.5) / resolution)."""
 
     d: int
     inv_alpha: float
     resolution: int
     reports: tuple[tuple[RegimeReport, ...], ...]  # indexed [i][j] for (inv_p, inv_q)
-
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return ((i + 0.5) / self.resolution, (j + 0.5) / self.resolution)
 
 
 # Bytes of one cell's CSV line and SVG <rect> line that no coordinate, label or colour shortens.

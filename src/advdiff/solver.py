@@ -231,7 +231,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
             series[f"beta_{bf.name}"].append(float(np.sum(bf.fn(cur_real))) * cell)
         if step % config.record_every == 0 or step == n_steps:
             snapshot_steps.append(step)
-            snapshots.append(ScalarField(grid, cur_real.copy()))
+            snapshots.append(ScalarField(grid, cur_real))  # cur_real is writeable, so this copies it
 
     u_real = core.inverse(u_hat)
     record(0, 0.0, u_hat, u_real)

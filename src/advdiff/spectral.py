@@ -70,6 +70,11 @@ class SpectralCore:
         return float(np.sum(self.weights * multiplier * (coeffs.real**2 + coeffs.imag**2)))
 
 
+def _dealias_band(n: int) -> int:
+    """The largest |k_j| the 2/3 dealias rule keeps on an axis of n points."""
+    return n // 3
+
+
 @lru_cache(maxsize=64)
 def spectral_core(grid: TorusGrid) -> SpectralCore:
     """The cached spectral core of ``grid``."""
@@ -84,7 +89,7 @@ def spectral_core(grid: TorusGrid) -> SpectralCore:
     ksq = np.broadcast_to(sum(a * a for a in lattice), shape)
     keep = np.ones(shape, dtype=bool)
     for a in lattice:
-        keep &= np.abs(a) <= n / 3.0
+        keep &= np.abs(a) <= _dealias_band(n)
     weights = np.full(nyq + 1, 2.0)
     weights[0] = weights[nyq] = 1.0
     return SpectralCore(
@@ -130,7 +135,7 @@ def perp_gradient(psi: ScalarField) -> VectorField:
         raise ValueError("perpendicular gradient requires dim == 2")
     g = gradient(psi)
     comps = [_frozen(-g.components[1].values), g.components[0].values]
-    return VectorField.from_arrays(psi.grid, comps, divergence_free=True)
+    return VectorField.from_arrays(psi.grid, comps)
 
 
 def divergence_defect(v: VectorField) -> float:
@@ -154,7 +159,7 @@ def leray_project(v: VectorField) -> VectorField:
     if grid.dim == 1:
         vals = v.components[0].values
         if float(np.max(vals) - np.min(vals)) <= 1e-13 * max(1.0, float(np.max(np.abs(vals)))):
-            return VectorField(grid, v.components, divergence_free=True, notes=v.notes)
+            return v
         raise ValueError("leray projection is trivial in one dimension: only constant fields are divergence-free")
     core = spectral_core(grid)
     ks = core.wavenumbers
@@ -166,4 +171,4 @@ def leray_project(v: VectorField) -> VectorField:
         h -= k * dot
     del dot  # before the inverses allocate their outputs
     comps = [_frozen(core.inverse(h)) for h in hats]
-    return VectorField.from_arrays(grid, comps, divergence_free=True, notes=v.notes)
+    return VectorField.from_arrays(grid, comps, notes=v.notes)

@@ -169,7 +169,7 @@ def half_spectrum_leray_project(v: VectorField) -> VectorField:
     ksq = np.where(ksq == 0.0, 1.0, ksq)
     dot = sum(k * h for k, h in zip(ks, hats)) / ksq
     comps = [core.inverse(h - k * dot) for k, h in zip(ks, hats)]
-    return VectorField.from_arrays(grid, comps, divergence_free=True, notes=v.notes)
+    return VectorField.from_arrays(grid, comps, notes=v.notes)
 
 
 def power_singularity(spec: FieldSpec, grid: TorusGrid) -> VectorField:
@@ -201,7 +201,7 @@ def power_singularity(spec: FieldSpec, grid: TorusGrid) -> VectorField:
         den += float(np.sum(b.values**2))
     shift = math.sqrt(num / den) if den > 0.0 else 0.0
     notes.append(f"leray projection moved the field by {shift:.3e} relative L2")
-    return VectorField(grid, projected.components, divergence_free=True, notes=tuple(notes))
+    return VectorField(grid, projected.components, notes=tuple(notes))
 
 
 def rotation_bump(spec: FieldSpec, grid: TorusGrid) -> VectorField:
@@ -214,7 +214,7 @@ def rotation_bump(spec: FieldSpec, grid: TorusGrid) -> VectorField:
     if grid.dim == 2:
         return perp_gradient(ScalarField(grid, psi))
     g = gradient(psi, grid)
-    return VectorField.from_arrays(grid, [-g[1], g[0], np.zeros(grid.shape)], divergence_free=True)
+    return VectorField.from_arrays(grid, [-g[1], g[0], np.zeros(grid.shape)])
 
 
 def columns(plane: VectorField, grid: TorusGrid) -> VectorField:
@@ -222,7 +222,7 @@ def columns(plane: VectorField, grid: TorusGrid) -> VectorField:
     if grid.dim == 2:
         return plane
     comps = [np.repeat(c.values[..., np.newaxis], grid.points_per_axis, axis=2) for c in plane.components]
-    return VectorField.from_arrays(grid, [*comps, np.zeros(grid.shape)], divergence_free=True, notes=plane.notes)
+    return VectorField.from_arrays(grid, [*comps, np.zeros(grid.shape)], notes=plane.notes)
 
 
 def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:
@@ -379,7 +379,7 @@ def region_map_csv(rm: RegionMap) -> str:
     for i in range(rm.resolution):
         for j in range(rm.resolution):
             rep = rm.reports[i][j]
-            inv_p, inv_q = rm.cell_center(i, j)
+            inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
             flags = ",".join(str(int(f)) for f in _flags(rep))
             lines.append(
                 f"{inv_p:.17g},{inv_q:.17g},{flags},"

@@ -1,5 +1,6 @@
 """The package surface: each public name has one import path, its owner module's,
-and a caller in the package; every global name a module reads is bound in it;
+and a caller in the package; each public class member a reader in the package,
+and no class overloads an operator; every global name a module reads is bound in it;
 each command loads only the modules it uses, none after its compute starts;
 and one function, ``cli._publish``, writes to the file system, in the package
 and in every other program file outside ``tests/`` and ``perfbench/``."""
@@ -240,8 +241,9 @@ def test_every_exported_name_resolves():
         assert missing == [], info.name
 
 
-# The public names nothing in src/ reads: library entry points,
-# each kept for the test it serves.  Any other unread ``__all__`` name is dead.
+# The public names nothing in src/ reads: library entry points and their class
+# members ("module.Class.member"), each kept for the test it serves.  Any other
+# unread ``__all__`` name or public class member is dead.
 LIBRARY_ONLY = {
     "commutators.commutator": "test_acceptance.py::test_criterion_07_divergence_form_identities",
     "commutators.commutator_divform": "test_acceptance.py::test_criterion_07_divergence_form_identities",
@@ -251,6 +253,8 @@ LIBRARY_ONLY = {
     "library.estimate_time_integrability": "test_library.py::test_modulated_shear_alpha_beta_criterion",
     "library.CATALOG": "test_library.py::test_catalog_listing",
     "fieldio.read_field": "test_fieldio.py::test_roundtrip_exact",
+    "commutators.CouplingRecord.gap": "test_acceptance.py::test_criterion_08_energy_commutator_coupling",
+    "solver.TestFunction.separable": "test_solver.py::TestWeakResidual",
 }
 
 
@@ -277,11 +281,86 @@ def test_every_public_name_has_a_caller():
     for info in pkgutil.iter_modules(advdiff.__path__):
         module = importlib.import_module(f"advdiff.{info.name}")
         unread |= {f"{info.name}.{name}" for name in module.__all__ if name not in read}
-    assert unread == set(LIBRARY_ONLY)
+    assert unread == {name for name in LIBRARY_ONLY if name.count(".") == 1}
     for served in LIBRARY_ONLY.values():
         file, test = served.split("::")
         defined = {n.name for n in ast.walk(ast.parse((ROOT / "tests" / file).read_text())) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert test in defined, served
+
+
+def class_members(source: str):
+    """(class, member) for every method, property, classmethod, dataclass field and class attribute ``source`` defines."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield cls.name, item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield cls.name, item.target.id
+            elif isinstance(item, ast.Assign):
+                yield from ((cls.name, t.id) for t in item.targets if isinstance(t, ast.Name))
+
+
+def member_reads(source: str) -> set[str]:
+    """Every attribute ``source`` reads, and every string constant in it.
+
+    Strings count because code reads members by name too: ``RegimeReport``'s
+    flags through ``getattr`` over ``FLAG_NAMES``.  A keyword argument or an
+    assignment to an attribute writes a member and does not count.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_members(sources: dict[str, str]) -> set[str]:
+    """"module.Class.member" for each public class member that no text in ``sources`` (module name to source) reads."""
+    read = set().union(*(member_reads(source) for source in sources.values()))
+    return {
+        f"{module}.{cls}.{name}"
+        for module, source in sources.items()
+        for cls, name in class_members(source)
+        if not name.startswith("_") and name not in read
+    }
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("class A:\n    x: int\n    def f(self):\n        return self.x", {"m.A.f"}),
+        ("class A:\n    x: int\nA(x=1)", {"m.A.x"}),
+        ("class A:\n    @property\n    def p(self):\n        return 1\ngetattr(A(), 'p')", set()),
+        ("class A:\n    @classmethod\n    def make(cls):\n        return cls()\n    def _helper(self):\n        pass", {"m.A.make"}),
+    ],
+)
+def test_member_reads_guard(source, unread):
+    assert unread_members({"m": source}) == unread
+
+
+def test_every_public_member_has_a_reader():
+    # a field, method or property that only tests read is a second API beside the one the commands use
+    unread = unread_members({path.stem: path.read_text() for path in SOURCES})
+    assert unread == {name for name in LIBRARY_ONLY if name.count(".") == 2}
+
+
+BINARY_OPERATORS = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow", "lshift", "rshift", "and", "xor", "or")
+OPERATOR_DUNDERS = {f"__{side}{op}__" for op in BINARY_OPERATORS for side in ("", "r", "i")} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def test_no_class_overloads_an_operator():
+    # ``a + b`` reads no member by name, so the reader guard cannot see an operator's callers
+    overloads = [
+        f"{path.stem}.{cls}.{name}"
+        for path in SOURCES
+        for cls, name in class_members(path.read_text())
+        if name in OPERATOR_DUNDERS
+    ]
+    assert overloads == []
 
 
 # Calls that change the file system: these methods, and ``open`` with a writing mode.

@@ -178,7 +178,7 @@ class TestRegionMap:
         rm = emit_region_map(2, 0.0, 32)
         for i in range(32):
             for j in range(32):
-                inv_p, inv_q = rm.cell_center(i, j)
+                inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
                 rep = rm.reports[i][j]
                 assert rep.product_defined == (inv_p + inv_q <= 1.0)
                 assert rep.parabolic_exists == (inv_p <= 0.5 and inv_q <= 0.5)
@@ -242,7 +242,7 @@ def test_region_map_reports_match_per_cell_classifier(d, inv_alpha, resolution):
     rm = emit_region_map(d, inv_alpha, resolution)
     for i in range(resolution):
         for j in range(resolution):
-            inv_p, inv_q = rm.cell_center(i, j)
+            inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
             assert rm.reports[i][j].as_dict() == oracles.classify(d, inv_alpha, inv_p, inv_q).as_dict()
 
 
@@ -276,7 +276,7 @@ def test_region_map_by_runs_matches_per_cell_classifier(d, inv_alpha, resolution
     rm = emit_region_map(d, inv_alpha, resolution)
     for i, row in enumerate(rm.reports):
         for j, rep in enumerate(row):
-            assert rep.as_dict() == oracles.classify(d, inv_alpha, *rm.cell_center(i, j)).as_dict(), (i, j)
+            assert rep.as_dict() == oracles.classify(d, inv_alpha, (i + 0.5) / resolution, (j + 0.5) / resolution).as_dict(), (i, j)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,16 @@ class TestTrajectoryBookkeeping:
         assert len(traj.states) == len(traj.times)
         assert len(traj.diagnostics["t"]) == 11  # every step incl. t = 0
 
+    def test_snapshots_are_independent_of_later_steps(self):
+        # each snapshot owns a read-only copy of its step's state: its L2 norm is the one recorded at that step
+        g = TorusGrid(2, 32)
+        traj = solve(FieldSpec("taylor_green"), sine_mode(g), SolverConfig(t_final=0.01, dt=1e-3, record_every=3))
+        values = [s.values for s in traj.states]
+        assert not any(v.flags.writeable for v in values)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(values, 2))
+        steps = np.rint(traj.times / traj.dt).astype(int)
+        assert [lp_norm(s, 2.0) for s in traj.states] == list(traj.diagnostics["l2"][steps])
+
     def test_mean_conserved_per_step(self):
         g = TorusGrid(2, 64)
         u0 = ScalarField(g, sine_mode(g).values + 0.7)
@@ -149,9 +160,9 @@ class TestAdvection:
         u2 = random_field(g, seed=53, max_mode=3, count=4)
         cfg = SolverConfig(t_final=0.02, dt=5e-4, record_every=10**9)
         tg = FieldSpec("taylor_green")
-        combined = solve(tg, u1 + u2, cfg).final_state
-        separate = solve(tg, u1, cfg).final_state + solve(tg, u2, cfg).final_state
-        assert np.max(np.abs(combined.values - separate.values)) < 1e-10
+        combined = solve(tg, ScalarField(g, u1.values + u2.values), cfg).final_state
+        separate = solve(tg, u1, cfg).final_state.values + solve(tg, u2, cfg).final_state.values
+        assert np.max(np.abs(combined.values - separate)) < 1e-10
 
     def test_maximum_principle_range(self):
         # bounded data stay inside their initial range up to truncation noise
@@ -185,7 +196,7 @@ class TestAdvection:
         gaps = []
         for delta in (0.2, 0.1, 0.05, 0.025):
             run = solve(tg, u0, SolverConfig(**base, mollify_b=delta, mollify_u0=delta))
-            gaps.append(max(lp_norm(a - b, 2.0) for a, b in zip(run.states, ref.states)))
+            gaps.append(max(lp_norm(ScalarField(g, a.values - b.values), 2.0) for a, b in zip(run.states, ref.states)))
         assert all(fine < coarse for coarse, fine in zip(gaps, gaps[1:]))
 
 
