@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, VectorField, h_norm, lp_from_values, lp_norm
+from .grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm
 from .library import FieldSpec, VelocitySampler, log_log_slope
 from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
 from .solver import Trajectory
@@ -52,8 +52,8 @@ def _check_grids(b: VectorField, w: ScalarField) -> None:
 class _Transport:
     """The delta-independent half of the commutator of one (b, w).
 
-    Holds b, the coefficients of w and those of b . grad w, so each kernel
-    level costs only its multiplier: d + 1 inverse transforms.
+    Holds b, the coefficients of w and those of b . grad w, so a kernel level
+    costs d inverse transforms and one more: an inverse for r^delta, a forward for its coefficients.
     """
 
     def __init__(self, b: VectorField, w: ScalarField) -> None:
@@ -65,17 +65,25 @@ class _Transport:
 
     def _dot_grad(self, coeffs: np.ndarray) -> np.ndarray:
         """b . grad of the field with half-spectrum coefficients ``coeffs``."""
-        out = np.zeros(self.b.grid.shape)
+        out = None
         for bj, ikj in zip(self.b.components, self.core.ik):
-            out = out + bj.values * self.core.inverse(ikj * coeffs)
+            term = self.core.inverse(ikj * coeffs)
+            term *= bj.values
+            out = term if out is None else np.add(out, term, out=out)
         return out
 
     def remainder(self, mult: np.ndarray) -> ScalarField:
         """r^delta for the kernel whose multiplier is ``mult``."""
-        first = self._dot_grad(mult * self.w_hat)
-        r = first - self.core.inverse(mult * self.advected_hat)
+        r = self._dot_grad(mult * self.w_hat)
+        r -= self.core.inverse(mult * self.advected_hat)
         r.flags.writeable = False  # ScalarField keeps a read-only array without copying it
         return ScalarField(self.b.grid, r)
+
+    def hminus1_sq(self, mult: np.ndarray) -> float:
+        """||r^delta||_{H^-1}^2 from its coefficients F[b . grad(w * rho^delta)] - mult * advected_hat; r never reaches the grid."""
+        r_hat = self.core.forward(self._dot_grad(mult * self.w_hat))
+        r_hat -= mult * self.advected_hat
+        return self.core.sobolev_sum(r_hat, -1) / self.b.grid.size**2
 
 
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
@@ -193,8 +201,7 @@ def _time_nodes(cfg: CommutatorStudyConfig):
 
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
     """One node's integrand of the space-time norm at one kernel level; its remainder dies on return."""
-    r = transport.remainder(mult)
-    return lp_norm(r, 1.0) if norm == L1_SPACETIME else h_norm(r, -1) ** 2
+    return lp_norm(transport.remainder(mult), 1.0) if norm == L1_SPACETIME else transport.hminus1_sq(mult)
 
 
 def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:

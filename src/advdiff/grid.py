@@ -184,5 +184,4 @@ def h_norm(f: ScalarField, s: int) -> float:
     from .spectral import spectral_core  # spectral builds on this module
 
     core = spectral_core(f.grid)
-    coeffs = core.forward(f.values) / f.grid.size
-    return math.sqrt(core.parseval_sum(coeffs, (1.0 + 4.0 * np.pi**2 * core.ksq) ** s))
+    return math.sqrt(core.sobolev_sum(core.forward(f.values), s)) / f.grid.size

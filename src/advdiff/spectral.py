@@ -69,6 +69,10 @@ class SpectralCore:
         """sum over the full lattice of multiplier(k) |coeffs(k)|^2, for an even multiplier."""
         return float(np.sum(self.weights * multiplier * (coeffs.real**2 + coeffs.imag**2)))
 
+    def sobolev_sum(self, coeffs: np.ndarray, s: int) -> float:
+        """parseval_sum against the Sobolev symbol (1 + 4 pi^2 |k|^2)^s, which is built per call and not kept."""
+        return self.parseval_sum(coeffs, (1.0 + 4.0 * np.pi**2 * self.ksq) ** s)
+
 
 def _dealias_band(n: int) -> int:
     """The largest |k_j| the 2/3 dealias rule keeps on an axis of n points."""

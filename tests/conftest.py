@@ -42,7 +42,7 @@ def random_field(grid: TorusGrid, seed: int, max_mode: int = 5, count: int = 8) 
 
 
 def count_transforms(monkeypatch) -> list:
-    """Count every numpy.fft and scipy.fft transform call into the returned list.
+    """Record the name of every numpy.fft and scipy.fft transform call in the returned list.
 
     Each transform is replaced where it is looked up, on its own module, so a
     transform function cached anywhere else would escape the count.
@@ -55,8 +55,8 @@ def count_transforms(monkeypatch) -> list:
         for name in [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]:
             original = getattr(mod, name)
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)

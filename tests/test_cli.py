@@ -1027,6 +1027,7 @@ FUZZ_BASES = {
     ),
     "commutator": (["commutator"], small_commutator_config()),
     "regime map": (["regime", "map"], {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": 16}),
+    "fields audit": (["fields", "audit"], audit_config()),
 }
 FUZZ_VALUES = [0, 1, -1, 2, 0.5, 1e-3, NAN, float("inf"), True, None, "abc", [], [1, 0], [True, 0.5], {}]
 DELETE = object()

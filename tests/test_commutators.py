@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -318,23 +320,42 @@ class TestStudyWorkCount:
         )
         assert peak_state_arrays(lambda: convergence_study(cfg), g) <= 10
 
-    @pytest.mark.parametrize("levels", [2, 5])
-    def test_static_study_transform_budget(self, monkeypatch, levels):
-        # Set-up: instantiate (2 forward + 2 inverse for the Leray projection,
-        # 2 forward + 1 inverse for the divergence gate), the forward of w,
-        # the d inverses of grad w and the forward of b . grad w: 11 in 2D.
-        # Each level: d + 1 inverses and the forward of the H^-1 norm.  The
-        # kernel multipliers are cached beforehand, so they are not counted.
-        g = TorusGrid(2, 128)
+    @staticmethod
+    def study_transforms(monkeypatch, grid, levels, norm) -> list:
+        """The names of the transforms a static power_singularity study makes, in call order."""
         cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("power_singularity", {"exponent": 1.25}), w_source=random_field(g, seed=84),
-            delta_schedule=dyadic_schedule(0.2, levels), norm=L2_HMINUS1,
+            b_source=FieldSpec("power_singularity", {"exponent": 1.25}), w_source=random_field(grid, seed=84),
+            delta_schedule=dyadic_schedule(0.2, levels), norm=norm,
         )
         for delta in cfg.delta_schedule:
-            kernel_multiplier(Mollifier(cfg.mollifier_profile, delta), g)
+            kernel_multiplier(Mollifier(cfg.mollifier_profile, delta), grid)
         calls = count_transforms(monkeypatch)
         convergence_study(cfg)
-        assert 0 < len(calls) <= 4 * levels + 11
+        return calls
+
+    @pytest.mark.parametrize(
+        "dim, n, levels", [pytest.param(2, 128, 2, id="2"), pytest.param(2, 128, 5, id="5"), pytest.param(3, 32, 2, id="3d-2")]
+    )
+    def test_static_study_transform_budget(self, monkeypatch, dim, n, levels):
+        # Set-up: instantiate on the plane (2 forward + 2 inverse for the
+        # Leray projection, 2 forward + 1 inverse for the divergence gate),
+        # the forward of w, the d inverses of grad w and the forward of
+        # b . grad w: 11 in 2D, 12 in 3D.  Each level: the d inverses of
+        # b . grad(w * rho^delta) and the forward of r^delta, whose H^-1 norm
+        # is summed from its coefficients.  The kernel multipliers are cached
+        # beforehand, so they are not counted.
+        setup = 9 + dim
+        calls = self.study_transforms(monkeypatch, TorusGrid(dim, n), levels, L2_HMINUS1)
+        assert len(calls) == setup + (dim + 1) * levels
+        assert Counter(calls[setup:]) == {"irfftn": dim * levels, "rfftn": levels}
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_l1_level_makes_d_plus_one_inverses(self, monkeypatch, levels):
+        # The L^1 norm needs r^delta on the grid: the d inverses of
+        # b . grad(w * rho^delta) and the inverse of the mollified b . grad w.
+        calls = self.study_transforms(monkeypatch, TorusGrid(2, 128), levels, L1_SPACETIME)
+        assert len(calls) == 3 * levels + 11
+        assert Counter(calls[11:]) == {"irfftn": 3 * levels}
 
 
 class TestDualityBound:

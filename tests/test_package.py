@@ -253,6 +253,7 @@ LIBRARY_ONLY = {
     "library.estimate_time_integrability": "test_library.py::test_modulated_shear_alpha_beta_criterion",
     "library.CATALOG": "test_library.py::test_catalog_listing",
     "fieldio.read_field": "test_fieldio.py::test_roundtrip_exact",
+    "grid.h_norm": "test_grid.py::TestHNorm",
     "commutators.CouplingRecord.gap": "test_acceptance.py::test_criterion_08_energy_commutator_coupling",
     "solver.TestFunction.separable": "test_solver.py::TestWeakResidual",
 }
