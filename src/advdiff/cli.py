@@ -9,10 +9,11 @@ artifacts plus a manifest recording the config hash, tolerances and
 per-invariant pass/fail.  Exit codes: 0 all gates pass, 1 gate failure,
 2 schema violation, 3 numerical abort or out of memory, 4 I/O failure.
 
-Importing this module loads no numpy or scipy, and neither do the ``regime``
-commands: each function that computes with arrays imports what it uses in
-its own body.  A runner imports, while it parses, every module its compute
-and render use, so no module loads after compute starts: the objects an
+Importing this module loads only what parsing the command line needs, and
+the ``regime`` commands load no numpy or scipy: each function imports what
+else it uses in its own body.  A runner imports, while it parses, every
+module its compute and render use, and ``run_config`` hashes the config
+before compute, so no module loads after compute starts: the objects an
 import creates live for the whole process and would otherwise pin the
 memory that compute has freed beneath them.
 """
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -35,14 +34,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import SolverAbort
-from .regimes import (
-    check_resolution,
-    classify_exponents,
-    emit_region_map,
-    reciprocal_exponent,
-    region_map_csv,
-    region_map_svg,
-)
 
 __all__ = ["main", "SchemaError", "run_config", "run_simulate", "run_commutator", "run_regime_map", "run_field_audit"]
 
@@ -239,10 +230,6 @@ def _parse_solver(block, grid: TorusGrid, context="solver") -> SolverConfig:
 # -------------------------------------------------------------- manifests --
 
 
-def _config_hash(raw: dict) -> str:
-    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -290,6 +277,7 @@ def _publish(out_dir: Path):
 
 def _manifest(
     raw_config: dict,
+    config_sha256: str,
     versions: dict[str, str],
     grid: TorusGrid | None,
     tolerances: dict,
@@ -301,7 +289,7 @@ def _manifest(
     gates = {name: bool(ok) for name, ok in gates.items()}
     doc = {
         "config": raw_config,
-        "config_sha256": _config_hash(raw_config),
+        "config_sha256": config_sha256,
         "versions": versions,
         "grid": None if grid is None else {"dim": grid.dim, "points_per_axis": grid.points_per_axis},
         "tolerances": tolerances,
@@ -333,7 +321,7 @@ _SIMULATE_TOLERANCES = {"e1_slack": 1e-8, "e2_slack": 1e-8, "beta_slack": 1e-8, 
 
 
 # State-sized arrays that a run holds at once.  Each count is an upper bound:
-# the largest warm tracemalloc peak over the catalog (simulate 21.19, audit
+# the largest warm tracemalloc peak over the catalog (simulate 19.49, audit
 # d + 6.36, a 2-level commutator study d + 8.15 with its kernel multipliers)
 # plus 2.5 for the caches a first run fills and pocketfft's inverse scratch,
 # pinned by ``TestMemoryCounts``.  A commutator study adds one array per level
@@ -378,6 +366,8 @@ def _heat_kernel_error(datum: dict, field, traj: Trajectory) -> float | None:
 
 def run_simulate(cfg: dict):
     """``simulate``: solve from the initial datum and gate the a-priori bounds."""
+    import dataclasses
+
     from .fieldio import field_bytes
     from .solver import solve
     from .spectral import _dealias_band
@@ -476,6 +466,8 @@ def run_commutator(cfg: dict):
 
 def run_regime_map(cfg: dict):
     """``regime map``: rasterize the (1/p, 1/q) region map at one (d, alpha)."""
+    from .regimes import check_resolution, emit_region_map, reciprocal_exponent, region_map_csv, region_map_svg
+
     d = _take(cfg, "d", int)
     inv_alpha = reciprocal_exponent(_take(cfg, "alpha", (int, float, str), default="inf"))
     resolution = _take(cfg, "resolution", int, default=64)
@@ -536,10 +528,13 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     bad config raises a ``ValueError``, a numerical abort ``SolverAbort`` and
     an I/O failure ``OSError``; nothing is published then.
     """
+    import hashlib
+
     if threads < 1:
         raise SchemaError(f"threads must be >= 1, got {threads}")
     kind, runner = _RUNS[command]
     raw = _load_config(Path(config), kind)
+    config_sha256 = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
     cfg = dict(raw)
     cfg.pop("kind")
     out_dir = Path(out)
@@ -563,7 +558,7 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
         wall = time.perf_counter() - start
 
         files |= render()
-        files["manifest.json"] = _manifest(raw, versions, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
+        files["manifest.json"] = _manifest(raw, config_sha256, versions, grid, tolerances, gates, wall, files.keys() | {"manifest.json"}, metrics)
     return gates, out_dir
 
 
@@ -639,6 +634,8 @@ def _command(args) -> int:
         sys.stdout.write(_fields_list_text())
         return EXIT_OK
     if args.command == "regime" and args.regime_command == "classify":
+        from .regimes import classify_exponents
+
         report = classify_exponents(args.d, args.alpha, args.p, args.q)
         sys.stdout.write(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
         return EXIT_OK

@@ -38,6 +38,14 @@ through the full-lattice ``gradient`` above.  The package builds a 3D
 vortex column on the plane and lifts it, so it equals ``columns`` of the 2D
 form bit for bit and the 3D form to roundoff.
 
+The RK4 solve here is the out-of-place form of the package's step: ``rhs``
+returns -div(b v) from a zeroed sum and masks it with ``np.where``, every
+stage is one out-of-place expression in the textbook's coefficients, and
+each step records every column of ``LQ_COLUMNS`` through
+``lp_from_values`` and every one of ``REGISTERED_BETAS`` through its
+``fn``.  The package's in-place step keeps the operands and grouping of
+each stage, so it must equal this one bit for bit.
+
 Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
 package's cached kernel samples as a field, and ``lq_dissipation_check``
 reads the worst increase of an L^q norm off a trajectory's records.
@@ -54,12 +62,12 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig, CouplingRecord
 from advdiff.commutators import commutator as package_commutator
-from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm, wrapped_displacement
-from advdiff.library import FieldSpec, instantiate
+from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm, wrapped_displacement
+from advdiff.library import FieldSpec, VelocitySampler, instantiate
 from advdiff.mollify import Mollifier, _kernel_values
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
-from advdiff.solver import LQ_COLUMNS, Trajectory
+from advdiff.solver import LQ_COLUMNS, REGISTERED_BETAS, ROUGH_FIELD_DELTA_FACTOR, SolverConfig, Trajectory, _is_rough
 from advdiff.spectral import perp_gradient, spectral_core
 
 
@@ -250,6 +258,74 @@ def grad_l2_sq(values: np.ndarray, grid: TorusGrid) -> float:
     ksq = sum(k * k for k in derivative_wavenumbers(grid))
     uh = np.fft.fftn(values)
     return float(np.sum(4.0 * np.pi**2 * ksq * np.abs(uh) ** 2)) / grid.size**2
+
+
+def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, list[np.ndarray], dict[str, np.ndarray]]:
+    """(snapshot times, snapshot values, diagnostics) of the RK4 solve in its out-of-place form."""
+    grid = u0.grid
+    delta_b = config.mollify_b
+    if delta_b is None and not config.no_approximation and _is_rough(b):
+        delta_b = ROUGH_FIELD_DELTA_FACTOR * grid.spacing
+    sampler = VelocitySampler(b, grid, Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None)
+    if config.mollify_u0 is not None:
+        u0 = package_mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
+    core = spectral_core(grid)
+    keep = core.keep
+    u_hat = np.where(keep, core.forward(u0.values), 0.0)
+
+    def cfl_limit(t: float) -> float:
+        mb = sampler.max_abs(t)
+        sigma = config.cfl_safety if config.cfl_safety is not None else 1.0
+        return sigma * grid.spacing / mb if mb > 0.0 else math.inf
+
+    dt_target = config.dt if config.dt is not None else min(cfl_limit(0.0), config.t_final)
+    n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
+    dt = config.t_final / n_steps
+    lam = -4.0 * np.pi**2 * core.ksq
+    e_full, e_half = np.exp(lam * dt), np.exp(lam * 0.5 * dt)
+
+    def rhs(v_hat: np.ndarray, t: float) -> np.ndarray:
+        b_t = sampler.field(t)
+        out = np.zeros(core.shape, dtype=np.complex128)
+        if b_t is None:
+            return out
+        v_real = core.inverse(v_hat)
+        for ikj, bj in zip(core.ik, b_t.components):
+            out -= ikj * core.forward(bj.values * v_real)
+        return np.where(keep, out, 0.0)
+
+    columns: dict[str, list[float]] = {}
+    snapshots: list[tuple[int, np.ndarray]] = []
+    grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
+
+    def record(step: int, t: float) -> None:
+        u = core.inverse(u_hat)
+        values = {"t": t, **{name: lp_from_values(u, q, grid.cell_volume) for name, q in LQ_COLUMNS.items()}}
+        values["grad_l2_sq"] = core.parseval_sum(u_hat, grad_sym) / grid.size**2
+        values["mean"] = u_hat.flat[0].real / grid.size
+        values |= {f"beta_{bf.name}": float(np.sum(bf.fn(u))) * grid.cell_volume for bf in REGISTERED_BETAS}
+        for name, value in values.items():
+            columns.setdefault(name, []).append(value)
+        if step % config.record_every == 0 or step == n_steps:
+            snapshots.append((step, u))
+
+    record(0, 0.0)
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * dt
+        n0 = rhs(u_hat, t)
+        sa = e_half * (u_hat + 0.5 * dt * n0)
+        na = rhs(sa, t + 0.5 * dt)
+        sb = e_half * u_hat + 0.5 * dt * na
+        nb = rhs(sb, t + 0.5 * dt)
+        sc = e_full * u_hat + dt * e_half * nb
+        nc = rhs(sc, t + dt)
+        u_hat = e_full * u_hat + (dt / 6.0) * (e_full * n0 + 2.0 * e_half * (na + nb) + nc)
+        record(step, step * dt)
+
+    diagnostics = {name: np.asarray(values, dtype=np.float64) for name, values in columns.items()}
+    diagnostics["grad_l2_sq_cum"] = cumulative_simpson(diagnostics.pop("grad_l2_sq"), dx=dt, initial=0.0)
+    diagnostics["energy_lhs"] = np.asarray([0.5 * x**2 for x in columns["l2"]]) + diagnostics["grad_l2_sq_cum"]
+    return np.asarray([i * dt for i, _ in snapshots]), [u for _, u in snapshots], diagnostics
 
 
 def lq_dissipation_check(traj: Trajectory, q: float) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import advdiff.cli
+import advdiff.regimes
 from advdiff.cli import (
     EXIT_GATES,
     EXIT_IO,
@@ -608,8 +609,8 @@ BAD_CONFIGS = {
 class TestConfigValidation:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exits_schema(self, tmp_path, capsys, monkeypatch, case):
-        emit = advdiff.cli.emit_region_map  # a map past 64 cells per side here is a refused resolution that reached compute
-        monkeypatch.setattr("advdiff.cli.emit_region_map", lambda d, a, r: emit(d, a, r) if r <= 64 else pytest.fail(f"emitted {r}^2 cells"))
+        emit = advdiff.regimes.emit_region_map  # a map past 64 cells per side here is a refused resolution that reached compute
+        monkeypatch.setattr("advdiff.regimes.emit_region_map", lambda d, a, r: emit(d, a, r) if r <= 64 else pytest.fail(f"emitted {r}^2 cells"))
         command, cfg, fragment = BAD_CONFIGS[case]
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
@@ -638,7 +639,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("case", ["regime_resolution_below_16", "regime_resolution_beyond_memory"])
     def test_regime_resolution_refused_before_compute(self, tmp_path, monkeypatch, case):
-        monkeypatch.setattr("advdiff.cli.emit_region_map", lambda *a, **k: pytest.fail("emitted a map before the resolution check"))
+        monkeypatch.setattr("advdiff.regimes.emit_region_map", lambda *a, **k: pytest.fail("emitted a map before the resolution check"))
         command, cfg, _ = BAD_CONFIGS[case]
         cfg_path = write_config(tmp_path, "cfg.json", cfg)
         assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
@@ -707,7 +708,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["simulate", "commutator", "regime_map", "fields_audit"])
     def test_threads_below_one_refused_before_compute(self, tmp_path, monkeypatch, capsys, command, threads):
-        for target in ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.cli.emit_region_map", "advdiff.library.estimate_integrability"):
+        for target in ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.regimes.emit_region_map", "advdiff.library.estimate_integrability"):
             monkeypatch.setattr(target, lambda *a, **k: pytest.fail("computed before the threads check"))
         argv, cfg = {
             "simulate": (["simulate"], small_simulate_config()),
@@ -927,7 +928,7 @@ class _ReachedCompute(Exception):
 
 
 # The first function each command's compute calls, on the module the command reads it from.
-COMPUTE_ENTRIES = ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.cli.emit_region_map", "advdiff.library.integrability_card")
+COMPUTE_ENTRIES = ("advdiff.solver.solve", "advdiff.commutators.convergence_study", "advdiff.regimes.emit_region_map", "advdiff.library.integrability_card")
 
 
 @pytest.mark.parametrize("cfg", README_CONFIGS, ids=readme_ids(README_CONFIGS))

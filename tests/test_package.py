@@ -61,7 +61,7 @@ def test_cli_regime_paths_load_no_numeric_stack(tmp_path, statement):
     assert "advdiff.cli" in loaded
 
 
-# Each numeric command's modules, and its count of random.Random instances,
+# Each config command's modules, and its count of random.Random instances,
 # at the moment its compute starts and at exit, in a fresh interpreter.
 COMPUTE_MODULES = """
 import contextlib, gc, io, json, random, sys
@@ -94,7 +94,7 @@ print(json.dumps({{
 }}))
 """
 
-NUMERIC_RUNS = {
+CONFIG_RUNS = {
     "simulate": (
         ["simulate"],
         {
@@ -114,16 +114,17 @@ NUMERIC_RUNS = {
         ["fields", "audit"],
         {"kind": "field-audit", "field": {"name": "shear"}, "p_values": [2.0], "resolutions": [16, 32, 64]},
     ),
+    "regime_map": (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 16}),
 }
 
 
 @pytest.fixture(scope="module")
 def observe(tmp_path_factory):
-    """What ``COMPUTE_MODULES`` reports for a run of ``NUMERIC_RUNS``, one fresh interpreter per run."""
+    """What ``COMPUTE_MODULES`` reports for a run of ``CONFIG_RUNS``, one fresh interpreter per run."""
 
     @functools.cache
     def observe(run: str) -> dict:
-        argv, cfg = NUMERIC_RUNS[run]
+        argv, cfg = CONFIG_RUNS[run]
         tmp = tmp_path_factory.mktemp(run)
         config = tmp / "cfg.json"
         config.write_text(json.dumps(cfg))
@@ -133,7 +134,7 @@ def observe(tmp_path_factory):
     return observe
 
 
-@pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
+@pytest.mark.parametrize("run", sorted(CONFIG_RUNS))
 def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
     # a module loaded after compute pins the heap that compute freed beneath it
     seen = observe(run)
@@ -146,7 +147,7 @@ def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
     assert "scipy.integrate" not in seen["at_exit"]
 
 
-@pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
+@pytest.mark.parametrize("run", sorted(CONFIG_RUNS))
 def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
     # tempfile's name generator, made by the first mkdtemp, is a process-lifetime
     # random.Random: made after compute, it pinned the heap compute freed beneath it
@@ -169,6 +170,13 @@ def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
 )
 def test_import_leaves_out(module, unwanted):
     assert not loaded_modules(f"import {module}") & unwanted
+
+
+def test_cli_import_leaves_out_what_only_commands_use():
+    # each loads in the command that uses it: dataclasses alone brings inspect, ast and dis,
+    # and every command, the printing ones included, pays for what the import loads
+    added = loaded_modules("import advdiff.cli") - loaded_modules("pass")
+    assert not added & {"advdiff.regimes", "dataclasses", "hashlib"}
 
 
 def advdiff_imports(path: Path):

@@ -10,6 +10,8 @@ from advdiff.library import FieldSpec, instantiate
 from advdiff.solver import (
     ARCTAN_PRIMITIVE,
     HALF_SQUARE,
+    LQ_COLUMNS,
+    REGISTERED_BETAS,
     ConvexFunction,
     SolverConfig,
     TestFunction,
@@ -259,7 +261,50 @@ class TestStepControl:
             counts.append(len(calls))
         # the difference cancels the set-up transforms (field instantiation, the initial state)
         assert counts[0] > 0
-        assert counts[1] - counts[0] <= 12 * 3
+        assert counts[1] - counts[0] == 12 * 3
+
+    def test_rk4_step_runs_sixteen_transforms_in_3d(self, monkeypatch):
+        # Four stages of one inverse and three forwards, the first stage's inverse being record()'s.
+        calls = count_transforms(monkeypatch)
+        g = TorusGrid(3, 16)
+        u0 = random_field(g, seed=5, max_mode=3)
+        dt = 1e-3
+        counts = []
+        for n_steps in (3, 6):
+            calls.clear()
+            solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=n_steps * dt, dt=dt))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 16 * 3
+
+
+class TestStepOracle:
+    """The in-place RK4 step equals the out-of-place form in ``oracles.rk4_solve`` bit for bit."""
+
+    RUNS = {
+        "taylor_green": (FieldSpec("taylor_green"), TorusGrid(2, 32), SolverConfig(t_final=0.01, dt=5e-4, record_every=5)),
+        "alternating_shear": (FieldSpec("alternating_shear", {"period": 0.004}), TorusGrid(2, 32), SolverConfig(t_final=0.01, dt=5e-4, record_every=5)),
+        "pure_diffusion": (None, TorusGrid(2, 32), SolverConfig(t_final=0.01, dt=5e-4, record_every=5)),
+        "cfl_safety": (FieldSpec("shear", {"amplitude": 2.0}), TorusGrid(2, 32), SolverConfig(t_final=0.04, cfl_safety=0.5, record_every=3)),
+        "power_singularity": (FieldSpec("power_singularity"), TorusGrid(2, 32), SolverConfig(t_final=0.004, dt=2e-4, record_every=5)),
+        "taylor_green_3d": (FieldSpec("taylor_green"), TorusGrid(3, 16), SolverConfig(t_final=0.01, dt=1e-3, record_every=5)),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_solve_matches_the_out_of_place_step(self, run):
+        b, g, cfg = self.RUNS[run]
+        u0 = random_field(g, seed=11, max_mode=4)
+        traj = solve(b, u0, cfg)
+        times, states, diagnostics = oracles.rk4_solve(b, u0, cfg)
+        assert traj.times.tobytes() == times.tobytes()
+        assert [s.values.tobytes() for s in traj.states] == [s.tobytes() for s in states]
+        assert sorted(traj.diagnostics) == sorted(diagnostics)
+        for name, column in diagnostics.items():
+            assert traj.diagnostics[name].tobytes() == column.tobytes(), name
+
+    def test_record_writes_the_registered_columns(self):
+        traj = solve(None, sine_mode(TorusGrid(2, 8)), SolverConfig(t_final=1e-3, dt=1e-3))
+        derived = {"t", "grad_l2_sq_cum", "energy_lhs", "mean"}
+        assert set(traj.diagnostics) - derived == set(LQ_COLUMNS) | {f"beta_{bf.name}" for bf in REGISTERED_BETAS}
 
 
 class TestVelocitySampling:
