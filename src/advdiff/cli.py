@@ -342,9 +342,9 @@ def _simulate_gates(traj: Trajectory) -> dict[str, bool]:
     for name in LQ_COLUMNS:
         gates[f"e1_{name}"] = diag[name].max() <= diag[name][0] + tol["e1_slack"]
     gates["e2_dissipation"] = diag["grad_l2_sq_cum"][-1] <= 0.5 * diag["l2"][0] ** 2 + tol["e2_slack"]
-    for bf in REGISTERED_BETAS:
-        name = f"beta_{bf.name}"
-        gates[name] = beta_dissipation(traj, bf.name) <= tol["beta_slack"] * max(diag[name][0], 1e-30)
+    for beta in REGISTERED_BETAS:
+        column = f"beta_{beta}"
+        gates[column] = beta_dissipation(traj, beta) <= tol["beta_slack"] * max(diag[column][0], 1e-30)
     mean = diag["mean"]
     gates["mean_conserved"] = np.abs(mean - mean[0]).max() <= tol["mean_drift"] * max(1.0, abs(mean[0]))
     return gates

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm
+from .grid import ScalarField, TorusGrid, VectorField, lp_norm
 from .library import FieldSpec, VelocitySampler, log_log_slope
-from .mollify import Mollifier, check_resolvable, kernel_multiplier, mollify
+from .mollify import Mollifier, check_resolvable, kernel_multiplier
 from .solver import Trajectory
-from .spectral import divergence, spectral_core
+from .spectral import spectral_core
 
 __all__ = [
     "L1_SPACETIME",
@@ -27,13 +27,8 @@ __all__ = [
     "NORM_TYPES",
     "CommutatorStudyConfig",
     "DecayStudy",
-    "CouplingRecord",
-    "commutator",
-    "commutator_divform",
-    "commutator_divb_correction",
     "convergence_study",
     "summarize_decay",
-    "mollified_energy_coupling",
 ]
 
 L1_SPACETIME = "L1_spacetime"
@@ -44,11 +39,6 @@ EXACT_FLOOR = 1e-12
 NO_DECAY_SLACK = 1.2  # a level may exceed its predecessor by at most 20%
 
 
-def _check_grids(b: VectorField, w: ScalarField) -> None:
-    if b.grid != w.grid:
-        raise ValueError("velocity and scalar live on different grids")
-
-
 class _Transport:
     """The delta-independent half of the commutator of one (b, w).
 
@@ -57,7 +47,8 @@ class _Transport:
     """
 
     def __init__(self, b: VectorField, w: ScalarField) -> None:
-        _check_grids(b, w)
+        if b.grid != w.grid:
+            raise ValueError("velocity and scalar live on different grids")
         self.b = b
         self.core = spectral_core(w.grid)
         self.w_hat = self.core.forward(w.values)
@@ -84,33 +75,6 @@ class _Transport:
         r_hat = self.core.forward(self._dot_grad(mult * self.w_hat))
         r_hat -= mult * self.advected_hat
         return self.core.sobolev_sum(r_hat, -1) / self.b.grid.size**2
-
-
-def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
-    """r^delta = b . grad(w * rho^delta) - (b . grad w) * rho^delta."""
-    return _Transport(b, w).remainder(kernel_multiplier(m, w.grid))
-
-
-def commutator_divform(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
-    """div[ b (w * rho^delta) - (b w) * rho^delta ]; equals the direct form when div b = 0."""
-    _check_grids(b, w)
-    smooth = mollify(w, m)
-    comps = []
-    for bj in b.components:
-        flux_direct = bj.values * smooth.values
-        flux_mollified = mollify(ScalarField(w.grid, bj.values * w.values), m)
-        comps.append(flux_direct - flux_mollified.values)
-    return divergence(VectorField.from_arrays(w.grid, comps))
-
-
-def commutator_divb_correction(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
-    """(w * rho^delta) div b - (w div b) * rho^delta, the bounded-divergence remainder."""
-    _check_grids(b, w)
-    db = divergence(b)
-    smooth = mollify(w, m)
-    first = smooth.values * db.values
-    second = mollify(ScalarField(w.grid, w.values * db.values), m)
-    return ScalarField(w.grid, first - second.values)
 
 
 @dataclass(frozen=True)
@@ -242,63 +206,3 @@ def convergence_study(cfg: CommutatorStudyConfig) -> DecayStudy:
     norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
     return summarize_decay(cfg.delta_schedule, norms, cfg.norm)
 
-
-@dataclass(frozen=True)
-class CouplingRecord:
-    delta: float
-    energy_residual: float
-    coupling_integral: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.energy_residual - self.coupling_integral)
-
-
-def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[CouplingRecord, ...]:
-    """Check that the mollified energy budget is exactly the commutator pairing.
-
-    For u^delta = u * rho^delta the budget
-    0.5||u^delta(T)||^2 + int ||grad u^delta||^2 - 0.5||u^delta(0)||^2
-    equals the space-time pairing of r^delta with u^delta up to quadrature;
-    both shrink together as delta -> 0.  b is taken at each snapshot time,
-    and one transport per snapshot serves every level.  Requires densely
-    recorded snapshots and a velocity.
-    """
-    if b is None:
-        raise ValueError("the energy coupling needs a velocity b: without one the commutator vanishes")
-    from scipy.integrate import simpson  # no command runs this, so no command process loads scipy.integrate
-
-    grid = traj.grid
-    if len(traj.states) < 5:
-        raise ValueError("trajectory must carry densely recorded snapshots")
-    times = np.asarray(traj.times, dtype=np.float64)
-    cell = grid.cell_volume
-    core = spectral_core(grid)
-    grad_sym = 4.0 * np.pi**2 * core.derivative_ksq
-    size = grid.size
-    molls = [Mollifier(profile, float(delta)) for delta in deltas]
-    mults = [kernel_multiplier(m, grid) for m in molls]
-    sampler = VelocitySampler(b, grid)
-
-    # Snapshots outside, levels inside: one snapshot's transport is alive at a time.
-    grad_sq = [[] for _ in mults]
-    pairing = [[] for _ in mults]
-    half_sq = [[] for _ in mults]
-    last = len(traj.states) - 1
-    for k, (t, state) in enumerate(zip(times, traj.states)):
-        transport = _Transport(sampler.field(float(t)), state)
-        for j, mult in enumerate(mults):
-            us_hat = mult * transport.w_hat
-            us = core.inverse(us_hat)
-            grad_sq[j].append(core.parseval_sum(us_hat, grad_sym) / size**2)
-            r = transport.remainder(mult)
-            pairing[j].append(float(np.sum(r.values * us)) * cell)
-            if k in (0, last):
-                half_sq[j].append(0.5 * lp_from_values(us, 2.0, cell) ** 2)
-
-    out = []
-    for m, grad_j, pairing_j, (half_start, half_end) in zip(molls, grad_sq, pairing, half_sq):
-        residual = half_end + float(simpson(np.asarray(grad_j), x=times)) - half_start
-        coupling = float(simpson(np.asarray(pairing_j), x=times))
-        out.append(CouplingRecord(m.delta, residual, coupling))
-    return tuple(out)

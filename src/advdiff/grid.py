@@ -13,7 +13,6 @@ __all__ = [
     "VectorField",
     "lp_from_values",
     "lp_norm",
-    "h_norm",
     "wrapped_displacement",
     "wrapped_radius_sq",
 ]
@@ -171,17 +170,3 @@ def lp_norm(f: ScalarField, p: float) -> float:
         raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
     return lp_from_values(f.values, p, f.grid.cell_volume)
 
-
-def h_norm(f: ScalarField, s: int) -> float:
-    """Sobolev norm through the Fourier multiplier (1 + 4 pi^2 |k|^2)^s, s in {-1, +1}.
-
-    s = +1 gives the H^1 norm and s = -1 the H^-1 norm.  The multiplier norm
-    is equivalent (with dimensional constants) to the duality-pairing H^-1
-    norm; all tolerances in this package are stated for the multiplier form.
-    """
-    if s not in (-1, 1):
-        raise ValueError(f"s must be -1 or +1, got {s}")
-    from .spectral import spectral_core  # spectral builds on this module
-
-    core = spectral_core(f.grid)
-    return math.sqrt(core.sobolev_sum(core.forward(f.values), s)) / f.grid.size

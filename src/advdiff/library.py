@@ -21,7 +21,6 @@ from .mollify import Mollifier, mollify
 from .spectral import divergence_defect, leray_project, perp_gradient
 
 __all__ = [
-    "CATALOG",
     "FieldSpec",
     "IntegrabilityCard",
     "TrendReport",
@@ -32,7 +31,6 @@ __all__ = [
     "integrability_card",
     "refinement_grids",
     "estimate_integrability",
-    "estimate_time_integrability",
     "catalog_entries",
     "log_log_slope",
 ]
@@ -430,26 +428,6 @@ def estimate_integrability(spec: FieldSpec, p_values, resolutions, dim: int = 2)
     return tuple(_fit_trend(trend) for trend in samples)
 
 
-def estimate_time_integrability(spec: FieldSpec, grid: TorusGrid, alpha: float) -> TrendReport:
-    """Trend of the integral of ||b(t)||_2^alpha over [t_min, T] as t_min -> 0, with T = 1.
-
-    The lower cutoff is refined dyadically from T/20 over 6 levels, each
-    integrated over 600 geometric nodes; growth without bound flags a
-    diverging time integral.
-    """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    t_final, levels, nodes_per_level = 1.0, 6, 600
-    samples = []
-    for j in range(levels):
-        t_min = (t_final / 20.0) * 0.5**j
-        nodes = np.geomspace(t_min, t_final, nodes_per_level)
-        norms = np.array([lp_norm(instantiate(spec, grid, float(s)).magnitude(), 2.0) for s in nodes])
-        integral = float(np.trapezoid(norms**alpha, nodes))
-        samples.append((1.0 / t_min, integral))
-    return _fit_trend(samples)
-
-
 def catalog_entries() -> tuple[dict, ...]:
     """One row per catalog entry: name, description, card at defaults."""
     rows = []
@@ -467,5 +445,3 @@ def catalog_entries() -> tuple[dict, ...]:
         )
     return tuple(rows)
 
-
-CATALOG = tuple(_DEFAULT_PARAMS)

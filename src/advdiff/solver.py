@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,20 +21,15 @@ from .errors import SolverAbort
 from .grid import ScalarField, TorusGrid
 from .library import FieldSpec, VelocitySampler, integrability_card
 from .mollify import Mollifier, check_profile, mollify
-from .spectral import gradient, laplacian, spectral_core
+from .spectral import spectral_core
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "ConvexFunction",
-    "HALF_SQUARE",
-    "ARCTAN_PRIMITIVE",
     "REGISTERED_BETAS",
     "LQ_COLUMNS",
-    "TestFunction",
     "solve",
     "beta_dissipation",
-    "weak_residual",
 ]
 
 # The L^q norm columns of ``Trajectory.diagnostics`` and their exponents q.
@@ -52,28 +46,8 @@ def _is_rough(b) -> bool:
     return not math.isinf(integrability_card(b).p_finite_below)
 
 
-@dataclass(frozen=True)
-class ConvexFunction:
-    """Convex scalar function, vectorized over arrays."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-HALF_SQUARE = ConvexFunction("half_square", lambda s: 0.5 * s * s)
-ARCTAN_PRIMITIVE = ConvexFunction("arctan", lambda s: s * np.arctan(s) - 0.5 * np.log1p(s * s))
-REGISTERED_BETAS = (HALF_SQUARE, ARCTAN_PRIMITIVE)
-
-
-def _convexity_spot_check(beta: ConvexFunction) -> None:
-    # Three-point midpoint test on fixed probe intervals.
-    for a, b in ((-2.0, 1.0), (0.25, 3.0), (-1.5, -0.2)):
-        fa = float(beta.fn(np.float64(a)))
-        fb = float(beta.fn(np.float64(b)))
-        fm = float(beta.fn(np.float64(0.5 * (a + b))))
-        slack = 1e-12 * (1.0 + abs(fa) + abs(fb))
-        if fm > 0.5 * (fa + fb) + slack:
-            raise ValueError(f"function {beta.name!r} failed the three-point convexity spot check")
+# The convex betas whose integrals ``solve`` records, one ``beta_<name>`` column each.
+REGISTERED_BETAS = ("half_square", "arctan")
 
 
 @dataclass(frozen=True)
@@ -226,8 +200,8 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     cell = grid.cell_volume
 
     def record(step: int, t: float, cur_hat: np.ndarray, cur_real: np.ndarray) -> None:
-        # LQ_COLUMNS in lp_from_values's arithmetic and REGISTERED_BETAS in that of their fn, from |u| and
-        # u^2 taken once: 0.5 * u^2 is HALF_SQUARE's (0.5 * u) * u wherever u^2 neither underflows nor overflows.
+        # LQ_COLUMNS in lp_from_values's arithmetic and a column per REGISTERED_BETAS, from |u| and u^2 taken
+        # once: 0.5 * u^2 is the textbook (0.5 * u) * u wherever u^2 neither underflows nor overflows.
         mag, sq = np.abs(cur_real), cur_real * cur_real
         series["t"].append(t)
         series["l1"].append(float(np.sum(mag) * cell))
@@ -296,66 +270,7 @@ def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
     )
 
 
-def beta_dissipation(traj: Trajectory, beta) -> float:
-    """Worst increase of the integral of beta(u(t)) across records.
-
-    ``beta`` is either the name of a registered convex function (computed at
-    every step during the solve) or a ConvexFunction, which is spot-checked
-    for convexity and evaluated on the stored snapshots.
-    """
-    if isinstance(beta, str):
-        series = traj.diagnostics[f"beta_{beta}"]
-    else:
-        _convexity_spot_check(beta)
-        cell = traj.grid.cell_volume
-        series = [float(np.sum(beta.fn(s.values))) * cell for s in traj.states]
+def beta_dissipation(traj: Trajectory, name: str) -> float:
+    """Worst increase of the integral of beta(u(t)) across records, for the registered beta ``name``."""
+    series = traj.diagnostics[f"beta_{name}"]
     return max(b - a for a, b in zip(series, series[1:]))
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Smooth space-time test function phi given by samples of phi and d_t phi."""
-
-    __test__ = False  # not a pytest item
-
-    value: Callable[[float, TorusGrid], np.ndarray]
-    time_derivative: Callable[[float, TorusGrid], np.ndarray]
-
-    @classmethod
-    def separable(cls, spatial: Callable[[TorusGrid], np.ndarray], time_profile, time_profile_derivative):
-        return cls(
-            value=lambda t, grid: time_profile(t) * spatial(grid),
-            time_derivative=lambda t, grid: time_profile_derivative(t) * spatial(grid),
-        )
-
-
-def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
-    """|integral of u (d_t phi + b . grad phi + Laplace phi) + integral of u0 phi(0)|.
-
-    Quadrature runs over the stored snapshots (rectangle rule in space,
-    Simpson in time), so record densely when measuring this.  phi must
-    vanish at the final time.
-    """
-    grid = traj.grid
-    t_end = traj.t_final
-    end_vals = np.asarray(phi.value(t_end, grid))
-    scale = 1.0 + float(np.max(np.abs(np.asarray(phi.value(0.0, grid)))))
-    if float(np.max(np.abs(end_vals))) > 1e-12 * scale:
-        raise ValueError("test function must vanish at the final time")
-
-    from scipy.integrate import simpson  # no command runs this, so no command process loads scipy.integrate
-
-    sampler = VelocitySampler(b, grid)
-    cell = grid.cell_volume
-    integrand = []
-    for t_k, state in zip(traj.times, traj.states):
-        w = ScalarField(grid, np.asarray(phi.value(float(t_k), grid)))
-        total = np.asarray(phi.time_derivative(float(t_k), grid)) + laplacian(w).values
-        b_t = sampler.field(float(t_k))
-        if b_t is not None:
-            for bj, gj in zip(b_t.components, gradient(w).components):
-                total = total + bj.values * gj.values
-        integrand.append(float(np.sum(state.values * total)) * cell)
-    space_time = float(simpson(np.asarray(integrand), x=traj.times))
-    initial = float(np.sum(traj.states[0].values * np.asarray(phi.value(0.0, grid)))) * cell
-    return abs(space_time + initial)

@@ -21,7 +21,6 @@ __all__ = [
     "spectral_core",
     "gradient",
     "divergence",
-    "laplacian",
     "perp_gradient",
     "leray_project",
     "divergence_defect",
@@ -121,13 +120,6 @@ def divergence(v: VectorField) -> ScalarField:
     for ikj, c in zip(core.ik, v.components):
         out += ikj * core.forward(c.values)
     return ScalarField(v.grid, core.inverse(out))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    core = spectral_core(f.grid)
-    fh = core.forward(f.values)
-    fh *= -4.0 * np.pi**2 * core.derivative_ksq
-    return ScalarField(f.grid, core.inverse(fh))
 
 
 def perp_gradient(psi: ScalarField) -> VectorField:

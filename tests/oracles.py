@@ -11,9 +11,10 @@ transform passes (mollify w, its gradient, the gradient of w, mollify
 b . grad w) built from the full-lattice forms.
 
 The energy coupling here is the per-(delta, snapshot) form: it instantiates
-b at every snapshot and, at every level, mollifies the snapshot and runs the
-package's one-shot ``commutator``, so its couplings equal the package's bit
-for bit while its energy residuals take one more transform round trip.
+b at every snapshot and, at every level, mollifies the snapshot and runs
+``lab``'s one-shot ``commutator``, so its couplings equal those of
+``lab.mollified_energy_coupling`` bit for bit while its energy residuals take
+one more transform round trip.
 
 The regime classifier here evaluates every predicate at every point, with
 no part shared between the cells of a row, and builds a fresh report each
@@ -22,9 +23,9 @@ from scratch: label, flag string and coordinates, once for the CSV and once
 for the SVG.  They read only the public fields of each report.
 
 The time quadratures here are scipy's ``simpson`` and
-``cumulative_simpson``.  The package ports only ``cumulative_simpson`` to
-numpy, in ``advdiff.solver``, and must equal it bit for bit; its two
-library-only callers of ``simpson`` import scipy's.
+``cumulative_simpson``.  The package imports no ``scipy.integrate``: it ports
+``cumulative_simpson`` to numpy, in ``advdiff.solver``, and must equal it bit
+for bit.
 
 The catalog builders here are the full-grid forms of ``power_singularity``
 and ``rotation_bump``: every radial-profile temporary spans the whole grid,
@@ -42,13 +43,9 @@ The RK4 solve here is the out-of-place form of the package's step: ``rhs``
 returns -div(b v) from a zeroed sum and masks it with ``np.where``, every
 stage is one out-of-place expression in the textbook's coefficients, and
 each step records every column of ``LQ_COLUMNS`` through
-``lp_from_values`` and every one of ``REGISTERED_BETAS`` through its
-``fn``.  The package's in-place step keeps the operands and grouping of
-each stage, so it must equal this one bit for bit.
-
-Two helpers that only the tests use sit here too: ``kernel_field`` wraps the
-package's cached kernel samples as a field, and ``lq_dissipation_check``
-reads the worst increase of an L^q norm off a trajectory's records.
+``lp_from_values`` and each registered beta through the ``fn`` of its
+``lab.ConvexFunction``.  The package's in-place step keeps the operands and
+grouping of each stage, so it must equal this one bit for bit.
 """
 
 from __future__ import annotations
@@ -60,15 +57,17 @@ from xml.sax.saxutils import escape
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig, CouplingRecord
-from advdiff.commutators import commutator as package_commutator
+from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm, wrapped_displacement
 from advdiff.library import FieldSpec, VelocitySampler, instantiate
-from advdiff.mollify import Mollifier, _kernel_values
+from advdiff.mollify import Mollifier
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
-from advdiff.solver import LQ_COLUMNS, REGISTERED_BETAS, ROUGH_FIELD_DELTA_FACTOR, SolverConfig, Trajectory, _is_rough
+from advdiff.solver import LQ_COLUMNS, ROUGH_FIELD_DELTA_FACTOR, SolverConfig, Trajectory, _is_rough
 from advdiff.spectral import perp_gradient, spectral_core
+
+from lab import ARCTAN_PRIMITIVE, HALF_SQUARE, CouplingRecord, kernel_field
+from lab import commutator as lab_commutator
 
 
 def geodesic_distance(x, y) -> float:
@@ -239,14 +238,6 @@ def h_norm(values: np.ndarray, grid: TorusGrid, s: int) -> float:
     return float(np.sqrt(np.sum(mult * np.abs(coeffs) ** 2)))
 
 
-def kernel_field(m: Mollifier, grid: TorusGrid) -> ScalarField:
-    """The package's rho^delta samples, renormalized to unit discrete mass.
-
-    Raises UnderResolvedKernelError when delta is below the resolvable floor.
-    """
-    return ScalarField(grid, _kernel_values(m, grid))
-
-
 def mollify(values: np.ndarray, grid: TorusGrid, m: Mollifier) -> np.ndarray:
     mult = (np.fft.fftn(kernel_field(m, grid).values) / grid.size).real
     mult[(0,) * grid.dim] = 1.0
@@ -303,7 +294,7 @@ def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, lis
         values = {"t": t, **{name: lp_from_values(u, q, grid.cell_volume) for name, q in LQ_COLUMNS.items()}}
         values["grad_l2_sq"] = core.parseval_sum(u_hat, grad_sym) / grid.size**2
         values["mean"] = u_hat.flat[0].real / grid.size
-        values |= {f"beta_{bf.name}": float(np.sum(bf.fn(u))) * grid.cell_volume for bf in REGISTERED_BETAS}
+        values |= {f"beta_{bf.name}": float(np.sum(bf.fn(u))) * grid.cell_volume for bf in (HALF_SQUARE, ARCTAN_PRIMITIVE)}
         for name, value in values.items():
             columns.setdefault(name, []).append(value)
         if step % config.record_every == 0 or step == n_steps:
@@ -326,15 +317,6 @@ def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, lis
     diagnostics["grad_l2_sq_cum"] = cumulative_simpson(diagnostics.pop("grad_l2_sq"), dx=dt, initial=0.0)
     diagnostics["energy_lhs"] = np.asarray([0.5 * x**2 for x in columns["l2"]]) + diagnostics["grad_l2_sq_cum"]
     return np.asarray([i * dt for i, _ in snapshots]), [u for _, u in snapshots], diagnostics
-
-
-def lq_dissipation_check(traj: Trajectory, q: float) -> float:
-    """Worst increase of ||u(t)||_q across successive records (negative = monotone)."""
-    column = {exponent: name for name, exponent in LQ_COLUMNS.items()}.get(float(q))
-    if column is None:
-        raise ValueError(f"q must be one of {tuple(LQ_COLUMNS.values())}")
-    series = traj.diagnostics[column]
-    return max(b - a for a, b in zip(series, series[1:]))
 
 
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> np.ndarray:
@@ -373,7 +355,7 @@ def study_norms(cfg: CommutatorStudyConfig) -> list[float]:
 
 
 def energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[CouplingRecord, ...]:
-    """``mollified_energy_coupling`` with b instantiated at every snapshot and
+    """``lab.mollified_energy_coupling`` with b instantiated at every snapshot and
     every (delta, snapshot) pair mollified and commuted from scratch."""
     grid = traj.grid
     times = np.asarray(traj.times, dtype=np.float64)
@@ -387,7 +369,7 @@ def energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[Coupling
         for j, m in enumerate(molls):
             us = package_mollify(state, m)
             grad_sq[j].append(core.parseval_sum(core.forward(us.values), grad_sym) / grid.size**2)
-            r = package_commutator(b_t, state, m)
+            r = lab_commutator(b_t, state, m)
             pairing[j].append(float(np.sum(r.values * us.values)) * grid.cell_volume)
     out = []
     for m, grad_j, pairing_j in zip(molls, grad_sq, pairing):

@@ -10,16 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from advdiff.commutators import (
-    L1_SPACETIME,
-    L2_HMINUS1,
-    CommutatorStudyConfig,
-    commutator,
-    commutator_divb_correction,
-    commutator_divform,
-    convergence_study,
-    mollified_energy_coupling,
-)
+from advdiff.commutators import L1_SPACETIME, L2_HMINUS1, CommutatorStudyConfig, convergence_study
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
 from advdiff.library import FieldSpec, estimate_integrability, instantiate
 from advdiff.mollify import Mollifier, dyadic_schedule
@@ -28,6 +19,7 @@ from advdiff.solver import SolverConfig, solve
 from advdiff.spectral import gradient
 
 from conftest import random_field
+from lab import commutator, commutator_divb_correction, commutator_divform, mollified_energy_coupling
 
 
 @contextmanager

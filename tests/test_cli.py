@@ -26,10 +26,11 @@ from advdiff.cli import (
 )
 from advdiff.fieldio import read_field
 from advdiff.grid import ScalarField, TorusGrid
-from advdiff.library import CATALOG, FieldSpec
+from advdiff.library import FieldSpec
 from advdiff.mollify import kernel_multiplier
 from advdiff.solver import SolverConfig, solve
 from conftest import count_calls, peak_state_arrays
+from lab import CATALOG
 
 
 def write_config(tmp_path, name, payload):

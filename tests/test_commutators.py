@@ -3,18 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from advdiff.commutators import (
-    L1_SPACETIME,
-    L2_HMINUS1,
-    CommutatorStudyConfig,
-    commutator,
-    commutator_divb_correction,
-    commutator_divform,
-    convergence_study,
-    mollified_energy_coupling,
-    summarize_decay,
-)
-from advdiff.grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
+from advdiff.commutators import L1_SPACETIME, L2_HMINUS1, CommutatorStudyConfig, convergence_study, summarize_decay
+from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
 from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import PROFILES, Mollifier, dyadic_schedule, kernel_multiplier
 from advdiff.solver import SolverConfig, solve
@@ -22,6 +12,7 @@ from advdiff.spectral import gradient
 
 import oracles
 from conftest import count_calls, count_transforms, peak_state_arrays, random_field
+from lab import commutator, commutator_divb_correction, commutator_divform, h_norm, mollified_energy_coupling
 
 
 def gradient_velocity(grid, seed=61):

@@ -6,15 +6,10 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from advdiff.grid import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    h_norm,
-    lp_norm,
-)
+from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
 
 from conftest import random_field
+from lab import h_norm
 from oracles import geodesic_distance
 
 SQRT_HALF = 0.7071067811865476

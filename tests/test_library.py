@@ -5,11 +5,9 @@ import pytest
 
 from advdiff.grid import TorusGrid, lp_norm
 from advdiff.library import (
-    CATALOG,
     FieldSpec,
     catalog_entries,
     estimate_integrability,
-    estimate_time_integrability,
     instantiate,
     integrability_card,
     sample_key,
@@ -19,6 +17,7 @@ from advdiff.spectral import divergence_defect
 import advdiff.library
 import oracles
 from conftest import peak_state_arrays
+from lab import CATALOG, estimate_time_integrability
 
 
 class TestFieldSpec:

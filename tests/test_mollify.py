@@ -19,7 +19,7 @@ from advdiff.mollify import (
 from advdiff.spectral import divergence_defect, gradient, spectral_core
 
 from conftest import random_field
-from oracles import kernel_field
+from lab import kernel_field
 
 PROFILES = (GAUSSIAN_PERIODIZED, BUMP_COMPACT)
 

@@ -143,7 +143,7 @@ def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
     assert set(seen["at_exit"]) - set(seen["at_compute"][0]) == set()
     if run != "commutator":  # only the study uses advdiff.commutators
         assert "advdiff.commutators" not in seen["at_exit"]
-    # the package ports the one Simpson rule a command runs; its library-only callers import scipy's
+    # the package ports the one Simpson rule a command runs and imports no scipy.integrate
     assert "scipy.integrate" not in seen["at_exit"]
 
 
@@ -160,7 +160,7 @@ def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
     "module, unwanted",
     [
         # scipy.integrate brings scipy.optimize, scipy.linalg and scipy.sparse; advdiff.solver ports the
-        # cumulative Simpson rule simulate runs, and the library-only callers of simpson import scipy's in their bodies
+        # cumulative Simpson rule simulate runs, and the checks that take scipy's simpson live in tests/lab.py
         ("advdiff.cli", {"scipy.integrate", "scipy.optimize", "scipy.sparse"}),
         ("advdiff.solver", {"scipy.integrate"}),
         ("advdiff.commutators", {"scipy.integrate"}),
@@ -253,17 +253,7 @@ def test_every_exported_name_resolves():
 # members ("module.Class.member"), each kept for the test it serves.  Any other
 # unread ``__all__`` name or public class member is dead.
 LIBRARY_ONLY = {
-    "commutators.commutator": "test_acceptance.py::test_criterion_07_divergence_form_identities",
-    "commutators.commutator_divform": "test_acceptance.py::test_criterion_07_divergence_form_identities",
-    "commutators.commutator_divb_correction": "test_acceptance.py::test_criterion_07_divergence_form_identities",
-    "commutators.mollified_energy_coupling": "test_acceptance.py::test_criterion_08_energy_commutator_coupling",
-    "solver.weak_residual": "test_solver.py::TestWeakResidual",
-    "library.estimate_time_integrability": "test_library.py::test_modulated_shear_alpha_beta_criterion",
-    "library.CATALOG": "test_library.py::test_catalog_listing",
     "fieldio.read_field": "test_fieldio.py::test_roundtrip_exact",
-    "grid.h_norm": "test_grid.py::TestHNorm",
-    "commutators.CouplingRecord.gap": "test_acceptance.py::test_criterion_08_energy_commutator_coupling",
-    "solver.TestFunction.separable": "test_solver.py::TestWeakResidual",
 }
 
 
@@ -441,6 +431,12 @@ def imports_of(source: str) -> set[str]:
 def test_imports_of_guard():
     source = "import importlib\nimport importlib.metadata as md\nfrom importlib import metadata\nfrom . import grid\n"
     assert imports_of(source) == {"importlib", "importlib.metadata"}
+
+
+def test_no_module_imports_scipy_integrate():
+    # not even in a function body: the quadratures no command runs are test-side, in tests/lab.py
+    strays = [path.name for path in SOURCES if any(name.split(".")[:2] == ["scipy", "integrate"] for name in imports_of(path.read_text()))]
+    assert strays == []
 
 
 def test_no_module_reads_distribution_metadata():

@@ -7,23 +7,11 @@ import pytest
 from advdiff.errors import SolverAbort
 from advdiff.grid import ScalarField, TorusGrid, lp_norm
 from advdiff.library import FieldSpec, instantiate
-from advdiff.solver import (
-    ARCTAN_PRIMITIVE,
-    HALF_SQUARE,
-    LQ_COLUMNS,
-    REGISTERED_BETAS,
-    ConvexFunction,
-    SolverConfig,
-    TestFunction,
-    _cumulative_simpson,
-    beta_dissipation,
-    solve,
-    weak_residual,
-)
+from advdiff.solver import LQ_COLUMNS, REGISTERED_BETAS, SolverConfig, _cumulative_simpson, beta_dissipation, solve
 
 import oracles
 from conftest import count_calls, count_transforms, random_field
-from oracles import lq_dissipation_check
+from lab import ARCTAN_PRIMITIVE, HALF_SQUARE, ConvexFunction, TestFunction, lq_dissipation_check, snapshot_beta_dissipation, weak_residual
 
 
 def sine_mode(grid, axis=0):
@@ -304,7 +292,7 @@ class TestStepOracle:
     def test_record_writes_the_registered_columns(self):
         traj = solve(None, sine_mode(TorusGrid(2, 8)), SolverConfig(t_final=1e-3, dt=1e-3))
         derived = {"t", "grad_l2_sq_cum", "energy_lhs", "mean"}
-        assert set(traj.diagnostics) - derived == set(LQ_COLUMNS) | {f"beta_{bf.name}" for bf in REGISTERED_BETAS}
+        assert set(traj.diagnostics) - derived == set(LQ_COLUMNS) | {f"beta_{name}" for name in REGISTERED_BETAS}
 
 
 class TestVelocitySampling:
@@ -336,7 +324,7 @@ class TestBetaDissipation:
         u0 = ScalarField(g, sine_mode(g).values + 0.3)
         traj = solve(FieldSpec("shear"), u0, SolverConfig(t_final=0.02, dt=5e-4))
         affine = ConvexFunction("identity", lambda s: s)
-        assert abs(beta_dissipation(traj, affine)) < 1e-12
+        assert abs(snapshot_beta_dissipation(traj, affine)) < 1e-12
 
     def test_registered_betas_decay_under_heat(self):
         g = TorusGrid(2, 32)
@@ -344,18 +332,24 @@ class TestBetaDissipation:
         for beta in (HALF_SQUARE.name, ARCTAN_PRIMITIVE.name):
             assert beta_dissipation(traj, beta) < 0.0  # strict decay
 
+    def test_unregistered_name_raises(self):
+        # only the registered betas have a column: any other name is a lookup error, never a number
+        traj = solve(None, sine_mode(TorusGrid(2, 8)), SolverConfig(t_final=1e-3, dt=1e-3))
+        with pytest.raises(KeyError):
+            beta_dissipation(traj, "quartic")
+
     def test_nonconvex_rejected(self):
         g = TorusGrid(2, 32)
         traj = solve(None, sine_mode(g), SolverConfig(t_final=0.01, dt=1e-3))
         cap = ConvexFunction("concave", lambda s: -(s * s))
         with pytest.raises(ValueError, match="convexity"):
-            beta_dissipation(traj, cap)
+            snapshot_beta_dissipation(traj, cap)
 
     def test_custom_convex_function_on_snapshots(self):
         g = TorusGrid(2, 32)
         traj = solve(None, sine_mode(g), SolverConfig(t_final=0.05, dt=1e-3, record_every=5))
         quartic = ConvexFunction("quartic", lambda s: s**4)
-        assert beta_dissipation(traj, quartic) <= 1e-10
+        assert snapshot_beta_dissipation(traj, quartic) <= 1e-10
 
 
 class TestWeakResidual:

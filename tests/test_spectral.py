@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from advdiff.grid import ScalarField, TorusGrid, VectorField, h_norm, lp_norm
+from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_norm
 from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import PROFILES, Mollifier, mollify
 from advdiff.solver import SolverConfig, solve
@@ -12,7 +12,6 @@ from advdiff.spectral import (
     divergence,
     divergence_defect,
     gradient,
-    laplacian,
     leray_project,
     perp_gradient,
     spectral_core,
@@ -20,6 +19,7 @@ from advdiff.spectral import (
 
 import oracles
 from conftest import peak_state_arrays, random_field, trig_field
+from lab import h_norm, laplacian
 from oracles import translate
 
 
