@@ -18,7 +18,6 @@ import numpy as np
 from .grid import ScalarField, TorusGrid, VectorField, lp_norm
 from .library import FieldSpec, VelocitySampler, log_log_slope
 from .mollify import Mollifier, check_resolvable, kernel_multiplier
-from .solver import Trajectory
 from .spectral import spectral_core
 
 __all__ = [
@@ -40,15 +39,13 @@ NO_DECAY_SLACK = 1.2  # a level may exceed its predecessor by at most 20%
 
 
 class _Transport:
-    """The delta-independent half of the commutator of one (b, w).
+    """The delta-independent half of the commutator of one (b, w) on one grid, which the caller ensures.
 
     Holds b, the coefficients of w and those of b . grad w, so a kernel level
     costs d inverse transforms and one more: an inverse for r^delta, a forward for its coefficients.
     """
 
     def __init__(self, b: VectorField, w: ScalarField) -> None:
-        if b.grid != w.grid:
-            raise ValueError("velocity and scalar live on different grids")
         self.b = b
         self.core = spectral_core(w.grid)
         self.w_hat = self.core.forward(w.values)
@@ -79,17 +76,14 @@ class _Transport:
 
 @dataclass(frozen=True)
 class CommutatorStudyConfig:
-    """A decay study: fixed (b, w), a strictly decreasing kernel schedule, one norm.
+    """A decay study: a catalog field b, one datum w, a strictly decreasing kernel schedule, one norm.
 
-    ``w_source`` is either an explicit ScalarField or a solver Trajectory,
-    in which case the time quadrature runs over its recorded snapshots.
     The config validates on construction: every level must be resolvable on
-    the grid (``UnderResolvedKernelError`` otherwise) and a trajectory must be
-    recorded at least twice per switch of a time-dependent field.
+    the grid (``UnderResolvedKernelError`` otherwise).
     """
 
-    b_source: object  # FieldSpec | VectorField
-    w_source: object  # ScalarField | Trajectory
+    b_source: FieldSpec
+    w_source: ScalarField
     delta_schedule: tuple[float, ...]
     mollifier_profile: str = "gaussian_periodized"
     norm: str = L1_SPACETIME
@@ -106,10 +100,6 @@ class CommutatorStudyConfig:
             raise ValueError("delta schedule must be strictly decreasing")
         if self.norm not in NORM_TYPES:
             raise ValueError(f"norm must be one of {NORM_TYPES}")
-        if not isinstance(self.b_source, (FieldSpec, VectorField)):
-            raise TypeError("b_source must be a FieldSpec or a VectorField")
-        if not isinstance(self.w_source, (ScalarField, Trajectory)):
-            raise TypeError("w_source must be a ScalarField or a Trajectory")
         if self.time_samples < 1:
             raise ValueError("time_samples must be >= 1")
         if not self.t_final > 0.0:
@@ -117,18 +107,6 @@ class CommutatorStudyConfig:
         object.__setattr__(self, "delta_schedule", sched)
         for delta in sched:
             check_resolvable(Mollifier(self.mollifier_profile, delta), self.grid)
-        b = self.b_source
-        if isinstance(b, FieldSpec) and b.time_dependent and isinstance(self.w_source, Trajectory):
-            times = self.w_source.times
-            if len(times) < 2:
-                raise ValueError("trajectory must carry at least two snapshots")
-            spacing = float(np.max(np.diff(times)))
-            period = b.param("period")
-            if spacing > 0.5 * period:
-                raise ValueError(
-                    f"snapshot spacing {spacing:.3g} too coarse for field period {period:.3g};"
-                    " record at least twice per switch"
-                )
 
     @property
     def grid(self) -> TorusGrid:
@@ -148,19 +126,13 @@ class DecayStudy:
 
 
 def _time_nodes(cfg: CommutatorStudyConfig):
-    """(times, weights, states or None) for the rectangle rule in time."""
-    if isinstance(cfg.w_source, Trajectory):
-        times = np.asarray(cfg.w_source.times, dtype=np.float64)
-        weights = np.diff(times)
-        return times[:-1], weights, cfg.w_source.states[:-1]
-    b = cfg.b_source
-    time_dependent = isinstance(b, FieldSpec) and b.time_dependent
-    if not time_dependent:
-        return np.asarray([0.0]), np.asarray([cfg.t_final]), None
+    """(times, weights) of the midpoint rule in time; a static field takes one node."""
+    if not cfg.b_source.time_dependent:
+        return np.asarray([0.0]), np.asarray([cfg.t_final])
     m = cfg.time_samples
     times = (np.arange(m) + 0.5) * cfg.t_final / m
     weights = np.full(m, cfg.t_final / m)
-    return times, weights, None
+    return times, weights
 
 
 def _level_term(norm: str, transport: _Transport, mult: np.ndarray) -> float:
@@ -195,12 +167,10 @@ def convergence_study(cfg: CommutatorStudyConfig) -> DecayStudy:
     """
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
-    times, weights, states = _time_nodes(cfg)
     sampler = VelocitySampler(cfg.b_source, grid)
     acc = [0.0] * len(mults)
-    for i, (t, wt) in enumerate(zip(times, weights)):
-        w = states[i] if states is not None else cfg.w_source
-        transport = _Transport(sampler.field(float(t)), w)
+    for t, wt in zip(*_time_nodes(cfg)):
+        transport = _Transport(sampler.field(float(t)), cfg.w_source)
         for j, mult in enumerate(mults):
             acc[j] += _level_term(cfg.norm, transport, mult) * wt
     norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]

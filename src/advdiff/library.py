@@ -342,20 +342,15 @@ def sample_key(spec: FieldSpec, t: float) -> int | float | None:
 
 
 class VelocitySampler:
-    """b(t) of a source b (None, a VectorField or a FieldSpec), optionally
-    mollified, sampled once per ``sample_key`` as (field, max |b|);
-    with no source, ``field(t)`` is None and ``max_abs(t)`` is 0.
+    """b(t) of a catalog field b, optionally mollified, sampled once per
+    ``sample_key`` as (field, max |b|); with b None, ``field(t)`` is None and
+    ``max_abs(t)`` is 0.
 
     At most two samples are kept, the oldest dropped first: both parities of
     a switching field fit, and callers ask for time-keyed samples in increasing t.
     """
 
-    def __init__(self, b, grid: TorusGrid, moll: Mollifier | None = None):
-        if isinstance(b, VectorField):
-            if b.grid != grid:
-                raise ValueError("velocity field grid does not match the solution grid")
-        elif b is not None and not isinstance(b, FieldSpec):
-            raise TypeError(f"unsupported velocity source {type(b).__name__}")
+    def __init__(self, b: FieldSpec | None, grid: TorusGrid, moll: Mollifier | None = None):
         self.b = b
         self.grid = grid
         self._moll = moll
@@ -364,9 +359,9 @@ class VelocitySampler:
     def _sample(self, t: float) -> tuple[VectorField, float] | None:
         if self.b is None:
             return None
-        key = sample_key(self.b, t) if isinstance(self.b, FieldSpec) else None
+        key = sample_key(self.b, t)
         if key not in self._samples:
-            v = self.b if isinstance(self.b, VectorField) else instantiate(self.b, self.grid, t)
+            v = instantiate(self.b, self.grid, t)
             if self._moll is not None:
                 v = mollify(v, self._moll)
             if len(self._samples) == 2:

@@ -40,10 +40,8 @@ LQ_COLUMNS = {"l1": 1.0, "l2": 2.0, "l4": 4.0, "linf": math.inf}
 ROUGH_FIELD_DELTA_FACTOR = 4.0
 
 
-def _is_rough(b) -> bool:
-    if not isinstance(b, FieldSpec):
-        return False
-    return not math.isinf(integrability_card(b).p_finite_below)
+def _is_rough(b: FieldSpec | None) -> bool:
+    return b is not None and not math.isinf(integrability_card(b).p_finite_below)
 
 
 # The convex betas whose integrals ``solve`` records, one ``beta_<name>`` column each.
@@ -137,11 +135,11 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts) + 0.0))  # + 0.0 maps -0.0 to 0.0, as scipy's `initial` does
 
 
-def solve(b, u0: ScalarField, config: SolverConfig) -> Trajectory:
-    """Advance u0 under the velocity source b up to t_final.
+def solve(b: FieldSpec | None, u0: ScalarField, config: SolverConfig) -> Trajectory:
+    """Advance u0 under the catalog field b up to t_final.
 
-    ``b`` may be None (pure diffusion), a static VectorField, or a catalog
-    FieldSpec (sampled at the RK4 stage times when time-dependent).
+    ``b`` is None (pure diffusion) or a catalog FieldSpec, sampled at the RK4
+    stage times when time-dependent.
     The mean of u is conserved to roundoff at every step; a CFL violation or
     a non-finite state aborts with the offending step.
     """

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 
-from advdiff.commutators import _Transport
+from advdiff.commutators import L1_SPACETIME, DecayStudy, _level_term, _Transport, summarize_decay
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm
 from advdiff.library import FieldSpec, TrendReport, VelocitySampler, _fit_trend, catalog_entries, instantiate
 from advdiff.mollify import Mollifier, _kernel_values, kernel_multiplier, mollify
@@ -80,6 +80,7 @@ def _check_grids(b: VectorField, w: ScalarField) -> None:
 
 def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> ScalarField:
     """r^delta = b . grad(w * rho^delta) - (b . grad w) * rho^delta."""
+    _check_grids(b, w)
     return _Transport(b, w).remainder(kernel_multiplier(m, w.grid))
 
 
@@ -103,6 +104,34 @@ def commutator_divb_correction(b: VectorField, w: ScalarField, m: Mollifier) -> 
     first = smooth.values * db.values
     second = mollify(ScalarField(w.grid, w.values * db.values), m)
     return ScalarField(w.grid, first - second.values)
+
+
+def trajectory_study(traj: Trajectory, b: FieldSpec, deltas, profile: str, norm: str) -> DecayStudy:
+    """The commutator decay study with w the solution itself, time-integrated over its snapshots.
+
+    Snapshot k, with b taken at t_k, stands for [t_k, t_{k+1}) in the
+    rectangle rule; a time-dependent field must be recorded at least twice
+    per switch.  One transport per snapshot serves every level.
+    """
+    times = np.asarray(traj.times, dtype=np.float64)
+    if len(times) < 2:
+        raise ValueError("trajectory must carry at least two snapshots")
+    if b.time_dependent:
+        spacing = float(np.max(np.diff(times)))
+        period = b.param("period")
+        if spacing > 0.5 * period:
+            raise ValueError(
+                f"snapshot spacing {spacing:.3g} too coarse for field period {period:.3g}; record at least twice per switch"
+            )
+    mults = [kernel_multiplier(Mollifier(profile, float(delta)), traj.grid) for delta in deltas]
+    sampler = VelocitySampler(b, traj.grid)
+    acc = [0.0] * len(mults)
+    for t, wt, state in zip(times[:-1], np.diff(times), traj.states):
+        transport = _Transport(sampler.field(float(t)), state)
+        for j, mult in enumerate(mults):
+            acc[j] += _level_term(norm, transport, mult) * wt
+    norms = acc if norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
+    return summarize_decay(deltas, norms, norm)
 
 
 @dataclass(frozen=True)

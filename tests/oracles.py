@@ -5,9 +5,10 @@ the package's operators: every field is transformed with ``fftn`` on all N^d
 modes, and the real part of ``ifftn`` is kept.  They share no code with the
 half-spectrum core in ``advdiff.spectral``.
 
-The commutator study here is the level-by-level form: every kernel level
-instantiates b again at every time node and runs the commutator as four
-transform passes (mollify w, its gradient, the gradient of w, mollify
+The commutator study here is the level-by-level form, of
+``convergence_study`` and of ``lab.trajectory_study`` alike: every kernel
+level instantiates b again at every time node and runs the commutator as
+four transform passes (mollify w, its gradient, the gradient of w, mollify
 b . grad w) built from the full-lattice forms.
 
 The energy coupling here is the per-(delta, snapshot) form: it instantiates
@@ -328,30 +329,38 @@ def commutator(b: VectorField, w: ScalarField, m: Mollifier) -> np.ndarray:
     return first - mollify(advected, grid, m)
 
 
+def _level_norms(b: FieldSpec, nodes, deltas, profile: str, norm: str) -> list[float]:
+    """The norm at each level over the (t, weight, w) time nodes, the level loop outside the node loop."""
+    norms = []
+    for delta in deltas:
+        m = Mollifier(profile, delta)
+        acc = 0.0
+        for t, weight, w in nodes:
+            grid = w.grid
+            r = commutator(instantiate(b, grid, float(t)), w, m)
+            if norm == L1_SPACETIME:
+                acc += float(np.sum(np.abs(r))) * grid.cell_volume * weight
+            else:
+                acc += h_norm(r, grid, -1) ** 2 * weight
+        norms.append(acc if norm == L1_SPACETIME else math.sqrt(acc))
+    return norms
+
+
 def study_norms(cfg: CommutatorStudyConfig) -> list[float]:
-    """The study's norm at each level, with the level loop outside the time-node loop."""
-    grid = cfg.grid
-    if isinstance(cfg.w_source, Trajectory):
-        times = np.asarray(cfg.w_source.times, dtype=np.float64)
-        nodes = list(zip(times[:-1], np.diff(times), cfg.w_source.states[:-1]))
-    elif isinstance(cfg.b_source, FieldSpec) and cfg.b_source.time_dependent:
+    """The norms of ``convergence_study(cfg)``: midpoint nodes for a time-dependent field, one node otherwise."""
+    if cfg.b_source.time_dependent:
         step = cfg.t_final / cfg.time_samples
         nodes = [((k + 0.5) * step, step, cfg.w_source) for k in range(cfg.time_samples)]
     else:
         nodes = [(0.0, cfg.t_final, cfg.w_source)]
-    norms = []
-    for delta in cfg.delta_schedule:
-        m = Mollifier(cfg.mollifier_profile, delta)
-        acc = 0.0
-        for t, weight, w in nodes:
-            b = cfg.b_source if isinstance(cfg.b_source, VectorField) else instantiate(cfg.b_source, grid, float(t))
-            r = commutator(b, w, m)
-            if cfg.norm == L1_SPACETIME:
-                acc += float(np.sum(np.abs(r))) * grid.cell_volume * weight
-            else:
-                acc += h_norm(r, grid, -1) ** 2 * weight
-        norms.append(acc if cfg.norm == L1_SPACETIME else math.sqrt(acc))
-    return norms
+    return _level_norms(cfg.b_source, nodes, cfg.delta_schedule, cfg.mollifier_profile, cfg.norm)
+
+
+def trajectory_norms(traj: Trajectory, b: FieldSpec, deltas, profile: str, norm: str) -> list[float]:
+    """The norms of ``lab.trajectory_study``: snapshot k is the node of [t_k, t_{k+1})."""
+    times = np.asarray(traj.times, dtype=np.float64)
+    nodes = list(zip(times[:-1], np.diff(times), traj.states[:-1]))
+    return _level_norms(b, nodes, deltas, profile, norm)
 
 
 def energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[CouplingRecord, ...]:
@@ -365,7 +374,7 @@ def energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tuple[Coupling
     grad_sq = [[] for _ in molls]
     pairing = [[] for _ in molls]
     for t, state in zip(times, traj.states):
-        b_t = b if isinstance(b, VectorField) else instantiate(b, grid, float(t))
+        b_t = instantiate(b, grid, float(t))
         for j, m in enumerate(molls):
             us = package_mollify(state, m)
             grad_sq[j].append(core.parseval_sum(core.forward(us.values), grad_sym) / grid.size**2)

@@ -160,6 +160,17 @@ class TestSimulateCommand:
         assert manifest["all_gates_pass"] is True
         assert manifest["metrics"]["heat_kernel_error"] <= 1e-10
 
+    def test_constant_datum_keeps_its_mean(self, tmp_path):
+        # a constant is steady under a divergence-free b and the heat flow alike
+        cfg_path = write_config(tmp_path, "sim.json", small_simulate_config({"kind": "constant", "value": 2.5}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        column = header.split(",").index("mean")
+        assert rows
+        for row in rows:
+            assert float(row.split(",")[column]) == pytest.approx(2.5, rel=1e-12, abs=0.0)
+
     def test_manifest_records_fixed_tolerances(self, tmp_path):
         cfg_path = write_config(tmp_path, "sim.json", simulate_config())
         out = tmp_path / "run"
@@ -263,6 +274,14 @@ class TestCommutatorCommand:
         for name in ("decay.csv", "verdict.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert manifest_without_wall_time(a) == manifest_without_wall_time(b)
+
+    def test_compact_bump_profile(self, tmp_path):
+        cfg_path = write_config(tmp_path, "com.json", dict(small_commutator_config(profile="bump_compact"), expect={}))
+        out = tmp_path / "study"
+        assert main(["commutator", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        lines = (out / "decay.csv").read_text().splitlines()
+        assert lines[0] == "delta,norm,ratio"
+        assert len(lines) == 3
 
     def test_expectation_gate_failure(self, tmp_path):
         cfg = {

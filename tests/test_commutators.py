@@ -12,7 +12,7 @@ from advdiff.spectral import gradient
 
 import oracles
 from conftest import count_calls, count_transforms, peak_state_arrays, random_field
-from lab import commutator, commutator_divb_correction, commutator_divform, h_norm, mollified_energy_coupling
+from lab import commutator, commutator_divb_correction, commutator_divform, h_norm, mollified_energy_coupling, trajectory_study
 
 
 def gradient_velocity(grid, seed=61):
@@ -131,17 +131,6 @@ class TestStudyConfig:
                 b_source=FieldSpec("shear"), w_source=w, delta_schedule=(0.1, 0.001)
             )
 
-    def test_trajectory_sampling_validated_against_period(self):
-        g = TorusGrid(2, 32)
-        u0 = random_field(g, seed=71, max_mode=2, count=3)
-        traj = solve(None, u0, SolverConfig(t_final=0.2, dt=1e-2, record_every=10))
-        with pytest.raises(ValueError, match="snapshot spacing"):
-            CommutatorStudyConfig(
-                b_source=FieldSpec("alternating_shear", {"period": 0.05}),
-                w_source=traj,
-                delta_schedule=(0.2, 0.1),
-            )
-
 
 class TestSummarizeDecay:
     def test_exact_verdict(self):
@@ -208,33 +197,41 @@ class TestConvergenceStudy:
         st = convergence_study(cfg)
         assert st.verdict == "decay"
 
+
+class TestTrajectoryStudy:
+    """``lab.trajectory_study``: the decay study with w the solution, over its snapshots."""
+
+    def test_trajectory_sampling_validated_against_period(self):
+        g = TorusGrid(2, 32)
+        u0 = random_field(g, seed=71, max_mode=2, count=3)
+        traj = solve(None, u0, SolverConfig(t_final=0.2, dt=1e-2, record_every=10))
+        with pytest.raises(ValueError, match="snapshot spacing"):
+            trajectory_study(traj, FieldSpec("alternating_shear", {"period": 0.05}), (0.2, 0.1), "gaussian_periodized", L1_SPACETIME)
+
     def test_trajectory_sourced_study(self):
         g = TorusGrid(2, 64)
         u0 = random_field(g, seed=76, max_mode=3, count=4)
         traj = solve(FieldSpec("taylor_green"), u0, SolverConfig(t_final=0.05, dt=1e-3, record_every=5))
-        cfg = CommutatorStudyConfig(
-            b_source=FieldSpec("taylor_green"), w_source=traj,
-            delta_schedule=dyadic_schedule(0.1, 3), norm=L2_HMINUS1,
-        )
-        st = convergence_study(cfg)
+        st = trajectory_study(traj, FieldSpec("taylor_green"), dyadic_schedule(0.1, 3), "gaussian_periodized", L2_HMINUS1)
         assert st.verdict == "decay"
 
 
-def _study_case(case: str, norm: str, profile: str) -> CommutatorStudyConfig:
+def _study_case(case: str, norm: str, profile: str):
+    """(the study's DecayStudy, the level-by-level oracle's norms) of one case."""
     g = TorusGrid(2, 64)
     w = random_field(g, seed=80, max_mode=4, count=6)
-    extra = {}
+    deltas = dyadic_schedule(0.2, 4)
     if case == "trajectory":
         b = FieldSpec("taylor_green")
-        w = solve(b, w, SolverConfig(t_final=0.02, dt=1e-3, record_every=5))
-    elif case == "alternating_shear":
+        traj = solve(b, w, SolverConfig(t_final=0.02, dt=1e-3, record_every=5))
+        return trajectory_study(traj, b, deltas, profile, norm), oracles.trajectory_norms(traj, b, deltas, profile, norm)
+    extra = {}
+    if case == "alternating_shear":
         b, extra = FieldSpec(case, {"period": 0.25}), {"time_samples": 8}
     else:
         b = FieldSpec(case)
-    return CommutatorStudyConfig(
-        b_source=b, w_source=w, delta_schedule=dyadic_schedule(0.2, 4),
-        mollifier_profile=profile, norm=norm, **extra,
-    )
+    cfg = CommutatorStudyConfig(b_source=b, w_source=w, delta_schedule=deltas, mollifier_profile=profile, norm=norm, **extra)
+    return convergence_study(cfg), oracles.study_norms(cfg)
 
 
 class TestStudyMatchesLevelByLevelOracle:
@@ -242,9 +239,8 @@ class TestStudyMatchesLevelByLevelOracle:
     @pytest.mark.parametrize("norm", [L1_SPACETIME, L2_HMINUS1])
     @pytest.mark.parametrize("case", ["taylor_green", "power_singularity", "alternating_shear", "trajectory"])
     def test_norms_and_rate_match(self, case, norm, profile):
-        cfg = _study_case(case, norm, profile)
-        want = summarize_decay(cfg.delta_schedule, oracles.study_norms(cfg), norm)
-        got = convergence_study(cfg)
+        got, want_norms = _study_case(case, norm, profile)
+        want = summarize_decay(got.deltas, want_norms, norm)
         np.testing.assert_allclose(got.norms, want.norms, rtol=1e-12, atol=0.0)
         assert got.verdict == want.verdict
         assert got.fitted_rate == pytest.approx(want.fitted_rate, rel=1e-12, abs=1e-12)
@@ -392,12 +388,7 @@ class TestEnergyCoupling:
     def test_matches_per_snapshot_oracle(self, case, profile):
         g = TorusGrid(2, 32)
         u0 = random_field(g, seed=86, max_mode=2, count=4)
-        if case == "rotation_bump":
-            b = instantiate(FieldSpec(case), g)
-        elif case == "alternating_shear":
-            b = FieldSpec(case, {"period": 0.025, "amplitude": 3.0})
-        else:
-            b = FieldSpec(case)
+        b = FieldSpec(case, {"period": 0.025, "amplitude": 3.0}) if case == "alternating_shear" else FieldSpec(case)
         traj = solve(b, u0, SolverConfig(t_final=0.02, dt=2.5e-4))
         deltas = (0.4, 0.2, 0.1)
         got = mollified_energy_coupling(traj, b, profile, deltas)

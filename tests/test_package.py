@@ -143,6 +143,8 @@ def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
     assert set(seen["at_exit"]) - set(seen["at_compute"][0]) == set()
     if run != "commutator":  # only the study uses advdiff.commutators
         assert "advdiff.commutators" not in seen["at_exit"]
+    # only simulate solves: the study takes one datum w, never a trajectory
+    assert ("advdiff.solver" in seen["at_exit"]) == (run == "simulate")
     # the package ports the one Simpson rule a command runs and imports no scipy.integrate
     assert "scipy.integrate" not in seen["at_exit"]
 
@@ -166,6 +168,8 @@ def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
         ("advdiff.commutators", {"scipy.integrate"}),
         # xml.sax.saxutils brought urllib.request; html.escape does not
         ("advdiff.regimes", {"urllib.request"}),
+        # the study samples catalog fields over one datum; solving is simulate's alone
+        ("advdiff.commutators", {"advdiff.solver"}),
     ],
 )
 def test_import_leaves_out(module, unwanted):

@@ -310,13 +310,6 @@ class TestVelocitySampling:
         solve(FieldSpec("taylor_green"), sine_mode(TorusGrid(2, 16)), SolverConfig(t_final=0.01, dt=1e-3))
         assert len(calls) == 1
 
-    def test_vector_field_is_not_instantiated(self, monkeypatch):
-        g = TorusGrid(2, 16)
-        b = instantiate(FieldSpec("taylor_green"), g)
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
-        solve(b, sine_mode(g), SolverConfig(t_final=0.01, dt=1e-3))
-        assert len(calls) == 0
-
 
 class TestBetaDissipation:
     def test_affine_beta_reduces_to_mean_conservation(self):
