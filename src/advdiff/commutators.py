@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, lp_norm
-from .library import FieldSpec, VelocitySampler, log_log_slope
+from .library import FieldSpec, instantiate, log_log_slope, sample_key
 from .mollify import Mollifier, check_resolvable, kernel_multiplier
 from .spectral import spectral_core
 
@@ -160,19 +160,21 @@ def summarize_decay(deltas, norms, norm_type: str) -> DecayStudy:
 def convergence_study(cfg: CommutatorStudyConfig) -> DecayStudy:
     """Evaluate the configured space-time norm along the schedule and fit a rate.
 
-    Time nodes are the outer loop: b is sampled through a ``VelocitySampler``
-    (once per ``library.sample_key``) and at each node the delta-independent
-    half of the commutator is computed once, so each level costs only its
-    kernel multiplier.  Only one node's pieces are held at a time.
+    Time nodes are the outer loop.  At the first node of each ``library.sample_key``
+    b is instantiated, the delta-independent half of the commutator built once and
+    every level's term kept under the key; each node adds its key's terms times its
+    weight, in node order.  Only the terms are kept per key.
     """
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
-    sampler = VelocitySampler(cfg.b_source, grid)
+    terms: dict[int | float | None, list[float]] = {}
     acc = [0.0] * len(mults)
     for t, wt in zip(*_time_nodes(cfg)):
-        transport = _Transport(sampler.field(float(t)), cfg.w_source)
-        for j, mult in enumerate(mults):
-            acc[j] += _level_term(cfg.norm, transport, mult) * wt
+        key = sample_key(cfg.b_source, float(t))
+        if key not in terms:
+            transport = _Transport(instantiate(cfg.b_source, grid, float(t)), cfg.w_source)
+            terms[key] = [_level_term(cfg.norm, transport, mult) for mult in mults]
+        for j, term in enumerate(terms[key]):
+            acc[j] += term * wt
     norms = acc if cfg.norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
     return summarize_decay(cfg.delta_schedule, norms, cfg.norm)
-

@@ -17,14 +17,12 @@ from typing import Mapping
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, lp_norm, wrapped_displacement
-from .mollify import Mollifier, mollify
 from .spectral import divergence_defect, leray_project, perp_gradient
 
 __all__ = [
     "FieldSpec",
     "IntegrabilityCard",
     "TrendReport",
-    "VelocitySampler",
     "check_dim",
     "instantiate",
     "sample_key",
@@ -339,43 +337,6 @@ def sample_key(spec: FieldSpec, t: float) -> int | float | None:
     if spec.param("modulation_exponent") > 0.0:
         return t
     return _switch_parity(spec, t)
-
-
-class VelocitySampler:
-    """b(t) of a catalog field b, optionally mollified, sampled once per
-    ``sample_key`` as (field, max |b|); with b None, ``field(t)`` is None and
-    ``max_abs(t)`` is 0.
-
-    At most two samples are kept, the oldest dropped first: both parities of
-    a switching field fit, and callers ask for time-keyed samples in increasing t.
-    """
-
-    def __init__(self, b: FieldSpec | None, grid: TorusGrid, moll: Mollifier | None = None):
-        self.b = b
-        self.grid = grid
-        self._moll = moll
-        self._samples: dict[object, tuple[VectorField, float]] = {}
-
-    def _sample(self, t: float) -> tuple[VectorField, float] | None:
-        if self.b is None:
-            return None
-        key = sample_key(self.b, t)
-        if key not in self._samples:
-            v = instantiate(self.b, self.grid, t)
-            if self._moll is not None:
-                v = mollify(v, self._moll)
-            if len(self._samples) == 2:
-                del self._samples[next(iter(self._samples))]
-            self._samples[key] = v, v.max_abs()
-        return self._samples[key]
-
-    def field(self, t: float) -> VectorField | None:
-        sample = self._sample(t)
-        return None if sample is None else sample[0]
-
-    def max_abs(self, t: float) -> float:
-        sample = self._sample(t)
-        return 0.0 if sample is None else sample[1]
 
 
 def log_log_slope(x, y) -> float:

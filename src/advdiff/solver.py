@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverAbort
-from .grid import ScalarField, TorusGrid
-from .library import FieldSpec, VelocitySampler, integrability_card
+from .grid import ScalarField, TorusGrid, VectorField
+from .library import FieldSpec, instantiate, integrability_card, sample_key
 from .mollify import Mollifier, check_profile, mollify
 from .spectral import spectral_core
 
@@ -149,7 +149,20 @@ def solve(b: FieldSpec | None, u0: ScalarField, config: SolverConfig) -> Traject
     if delta_b is None and not config.no_approximation and _is_rough(b):
         delta_b = ROUGH_FIELD_DELTA_FACTOR * grid.spacing
     moll_b = Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None
-    sampler = VelocitySampler(b, grid, moll_b)
+    samples: dict[int | None, tuple[VectorField, float]] = {}
+
+    def velocity(t: float) -> tuple[VectorField | None, float]:
+        """b(t), mollified if set, and max |b(t)|, once per ``library.sample_key``, of which there are at most
+        two: the first CFL check samples t = 0, where a modulated field is refused.  (None, 0.0) without b."""
+        if b is None:
+            return None, 0.0
+        key = sample_key(b, t)
+        if key not in samples:
+            v = instantiate(b, grid, t)
+            if moll_b is not None:
+                v = mollify(v, moll_b)
+            samples[key] = v, v.max_abs()
+        return samples[key]
 
     if config.mollify_u0 is not None:
         u0 = mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
@@ -162,7 +175,7 @@ def solve(b: FieldSpec | None, u0: ScalarField, config: SolverConfig) -> Traject
     spacing = grid.spacing
 
     def _cfl_limit(t: float) -> float:
-        mb = sampler.max_abs(t)
+        mb = velocity(t)[1]
         sigma = config.cfl_safety if config.cfl_safety is not None else 1.0
         return sigma * spacing / mb if mb > 0.0 else math.inf
 
@@ -177,7 +190,7 @@ def solve(b: FieldSpec | None, u0: ScalarField, config: SolverConfig) -> Traject
 
     def rhs(v_hat: np.ndarray, t: float, v_real: np.ndarray | None = None) -> np.ndarray:
         """+div(b v), dealiased, the stage coefficients carrying its sign; ``v_real`` is v_hat on the grid if known."""
-        b_t = sampler.field(t)
+        b_t = velocity(t)[0]
         if b_t is None:
             return np.zeros(core.shape, dtype=np.complex128)
         if v_real is None:

@@ -16,7 +16,7 @@ from scipy.integrate import simpson
 
 from advdiff.commutators import L1_SPACETIME, DecayStudy, _level_term, _Transport, summarize_decay
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm
-from advdiff.library import FieldSpec, TrendReport, VelocitySampler, _fit_trend, catalog_entries, instantiate
+from advdiff.library import FieldSpec, TrendReport, _fit_trend, catalog_entries, instantiate, sample_key
 from advdiff.mollify import Mollifier, _kernel_values, kernel_multiplier, mollify
 from advdiff.solver import LQ_COLUMNS, Trajectory
 from advdiff.spectral import divergence, gradient, spectral_core
@@ -124,10 +124,9 @@ def trajectory_study(traj: Trajectory, b: FieldSpec, deltas, profile: str, norm:
                 f"snapshot spacing {spacing:.3g} too coarse for field period {period:.3g}; record at least twice per switch"
             )
     mults = [kernel_multiplier(Mollifier(profile, float(delta)), traj.grid) for delta in deltas]
-    sampler = VelocitySampler(b, traj.grid)
     acc = [0.0] * len(mults)
     for t, wt, state in zip(times[:-1], np.diff(times), traj.states):
-        transport = _Transport(sampler.field(float(t)), state)
+        transport = _Transport(instantiate(b, traj.grid, float(t)), state)
         for j, mult in enumerate(mults):
             acc[j] += _level_term(norm, transport, mult) * wt
     norms = acc if norm == L1_SPACETIME else [math.sqrt(a) for a in acc]
@@ -167,7 +166,7 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     size = grid.size
     molls = [Mollifier(profile, float(delta)) for delta in deltas]
     mults = [kernel_multiplier(m, grid) for m in molls]
-    sampler = VelocitySampler(b, grid)
+    fields = {}  # one sample per library.sample_key
 
     # Snapshots outside, levels inside: one snapshot's transport is alive at a time.
     grad_sq = [[] for _ in mults]
@@ -175,7 +174,10 @@ def mollified_energy_coupling(traj: Trajectory, b, profile: str, deltas) -> tupl
     half_sq = [[] for _ in mults]
     last = len(traj.states) - 1
     for k, (t, state) in enumerate(zip(times, traj.states)):
-        transport = _Transport(sampler.field(float(t)), state)
+        key = sample_key(b, float(t))
+        if key not in fields:
+            fields[key] = instantiate(b, grid, float(t))
+        transport = _Transport(fields[key], state)
         for j, mult in enumerate(mults):
             us_hat = mult * transport.w_hat
             us = core.inverse(us_hat)
@@ -265,15 +267,13 @@ def weak_residual(traj: Trajectory, b, phi: TestFunction) -> float:
     if float(np.max(np.abs(end_vals))) > 1e-12 * scale:
         raise ValueError("test function must vanish at the final time")
 
-    sampler = VelocitySampler(b, grid)
     cell = grid.cell_volume
     integrand = []
     for t_k, state in zip(traj.times, traj.states):
         w = ScalarField(grid, np.asarray(phi.value(float(t_k), grid)))
         total = np.asarray(phi.time_derivative(float(t_k), grid)) + laplacian(w).values
-        b_t = sampler.field(float(t_k))
-        if b_t is not None:
-            for bj, gj in zip(b_t.components, gradient(w).components):
+        if b is not None:
+            for bj, gj in zip(instantiate(b, grid, float(t_k)).components, gradient(w).components):
                 total = total + bj.values * gj.values
         integrand.append(float(np.sum(state.values * total)) * cell)
     space_time = float(simpson(np.asarray(integrand), x=traj.times))

@@ -60,7 +60,7 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from advdiff.commutators import L1_SPACETIME, CommutatorStudyConfig
 from advdiff.grid import ScalarField, TorusGrid, VectorField, lp_from_values, lp_norm, wrapped_displacement
-from advdiff.library import FieldSpec, VelocitySampler, instantiate
+from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import Mollifier
 from advdiff.mollify import mollify as package_mollify
 from advdiff.regimes import FLAG_NAMES, STATEMENTS, RegimeReport, RegionMap
@@ -258,7 +258,15 @@ def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, lis
     delta_b = config.mollify_b
     if delta_b is None and not config.no_approximation and _is_rough(b):
         delta_b = ROUGH_FIELD_DELTA_FACTOR * grid.spacing
-    sampler = VelocitySampler(b, grid, Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None)
+    moll_b = Mollifier(config.mollifier_profile, delta_b) if delta_b is not None else None
+
+    def velocity(t: float) -> VectorField | None:
+        """b(t), instantiated and mollified afresh at every call."""
+        if b is None:
+            return None
+        v = instantiate(b, grid, t)
+        return v if moll_b is None else package_mollify(v, moll_b)
+
     if config.mollify_u0 is not None:
         u0 = package_mollify(u0, Mollifier(config.mollifier_profile, config.mollify_u0))
     core = spectral_core(grid)
@@ -266,7 +274,8 @@ def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, lis
     u_hat = np.where(keep, core.forward(u0.values), 0.0)
 
     def cfl_limit(t: float) -> float:
-        mb = sampler.max_abs(t)
+        v = velocity(t)
+        mb = 0.0 if v is None else v.max_abs()
         sigma = config.cfl_safety if config.cfl_safety is not None else 1.0
         return sigma * grid.spacing / mb if mb > 0.0 else math.inf
 
@@ -277,7 +286,7 @@ def rk4_solve(b, u0: ScalarField, config: SolverConfig) -> tuple[np.ndarray, lis
     e_full, e_half = np.exp(lam * dt), np.exp(lam * 0.5 * dt)
 
     def rhs(v_hat: np.ndarray, t: float) -> np.ndarray:
-        b_t = sampler.field(t)
+        b_t = velocity(t)
         out = np.zeros(core.shape, dtype=np.complex128)
         if b_t is None:
             return out

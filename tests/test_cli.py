@@ -275,6 +275,28 @@ class TestCommutatorCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert manifest_without_wall_time(a) == manifest_without_wall_time(b)
 
+    def test_switching_study_norms_do_not_depend_on_node_count(self, tmp_path):
+        # At 8, 16 and 32 nodes every switch interval of the period-0.125 shear takes the
+        # same number of nodes, so the midpoint rule in time is exact and the norms agree.
+        def norms(norm, nodes, **params):
+            cfg = {
+                "kind": "commutator",
+                "seed": 5,
+                "grid": {"dim": 2, "points_per_axis": 32},
+                "field": {"name": "alternating_shear", "params": {"period": 0.125, **params}},
+                "w": {"kind": "random_bandlimited", "max_mode": 4},
+                "study": {"delta0": 0.4, "levels": 3, "norm": norm, "t_final": 1.0, "time_samples": nodes},
+            }
+            out = tmp_path / f"{norm}-{nodes}-{sorted(params)}"
+            assert main(["commutator", "--config", write_config(tmp_path, "com.json", cfg), "--out", str(out)]) == EXIT_OK
+            return [float(line.split(",")[1]) for line in (out / "decay.csv").read_text().splitlines()[1:]]
+
+        for norm in ("L1_spacetime", "L2_Hminus1"):
+            coarse = norms(norm, 8)
+            for nodes in (16, 32):
+                np.testing.assert_allclose(norms(norm, nodes), coarse, rtol=1e-12, atol=0.0)
+        assert len(norms("L2_Hminus1", 4, modulation_exponent=0.5)) == 3
+
     def test_compact_bump_profile(self, tmp_path):
         cfg_path = write_config(tmp_path, "com.json", dict(small_commutator_config(profile="bump_compact"), expect={}))
         out = tmp_path / "study"

@@ -257,7 +257,7 @@ class TestStudyMatchesLevelByLevelOracle:
 
 class TestStudyWorkCount:
     def test_static_study_instantiates_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.commutators.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("taylor_green"), w_source=random_field(TorusGrid(2, 128), seed=82),
             delta_schedule=dyadic_schedule(0.2, 5), norm=L2_HMINUS1,
@@ -267,7 +267,7 @@ class TestStudyWorkCount:
 
     def test_time_dependent_study_instantiates_once_per_node(self, monkeypatch, grid64):
         # Unmodulated, the six nodes share the two parities of the switch.
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.commutators.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=random_field(grid64, seed=83),
             delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,
@@ -275,8 +275,31 @@ class TestStudyWorkCount:
         convergence_study(cfg)
         assert len(calls) == 2
 
+    def test_switching_study_transforms_do_not_grow_with_nodes(self, monkeypatch, grid64):
+        # Unmodulated, 4, 12 and 24 nodes all meet both parities of the switch, and each
+        # parity's transport and level terms are worked out once.  (At 2 nodes both share parity 1.)
+        schedule = dyadic_schedule(0.2, 4)
+        for delta in schedule:
+            kernel_multiplier(Mollifier("gaussian_periodized", delta), grid64)
+        w = random_field(grid64, seed=83)
+        configs = [
+            CommutatorStudyConfig(
+                b_source=FieldSpec("alternating_shear", {"period": 0.25}), w_source=w,
+                delta_schedule=schedule, time_samples=nodes,
+            )
+            for nodes in (4, 12, 24)
+        ]
+        calls = count_transforms(monkeypatch)
+        counts = []
+        for cfg in configs:
+            calls.clear()
+            convergence_study(cfg)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
+
     def test_modulated_study_instantiates_once_per_node(self, monkeypatch, grid64):
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.commutators.instantiate")
         cfg = CommutatorStudyConfig(
             b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
             w_source=random_field(grid64, seed=83), delta_schedule=dyadic_schedule(0.2, 4), time_samples=6,

@@ -145,6 +145,8 @@ def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
         assert "advdiff.commutators" not in seen["at_exit"]
     # only simulate solves: the study takes one datum w, never a trajectory
     assert ("advdiff.solver" in seen["at_exit"]) == (run == "simulate")
+    if run == "fields_audit":  # the audit samples the catalog and smooths nothing
+        assert "advdiff.mollify" not in seen["at_exit"]
     # the package ports the one Simpson rule a command runs and imports no scipy.integrate
     assert "scipy.integrate" not in seen["at_exit"]
 
@@ -170,6 +172,8 @@ def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
         ("advdiff.regimes", {"urllib.request"}),
         # the study samples catalog fields over one datum; solving is simulate's alone
         ("advdiff.commutators", {"advdiff.solver"}),
+        # the catalog samples fields; smoothing a sample is the solver's step
+        ("advdiff.library", {"advdiff.mollify"}),
     ],
 )
 def test_import_leaves_out(module, unwanted):

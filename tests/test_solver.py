@@ -299,14 +299,14 @@ class TestVelocitySampling:
     """The solver instantiates b once per distinct ``library.sample_key``."""
 
     def test_alternating_shear_instantiates_once_per_parity(self, monkeypatch):
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
         g = TorusGrid(2, 16)
         spec = FieldSpec("alternating_shear", {"period": 0.01})
         solve(spec, sine_mode(g, axis=1), SolverConfig(t_final=0.05, dt=1e-3))  # five periods, four switches
         assert len(calls) == 2
 
     def test_static_spec_instantiates_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "advdiff.library.instantiate")
+        calls = count_calls(monkeypatch, "advdiff.solver.instantiate")
         solve(FieldSpec("taylor_green"), sine_mode(TorusGrid(2, 16)), SolverConfig(t_final=0.01, dt=1e-3))
         assert len(calls) == 1
 
