@@ -16,6 +16,7 @@ __all__ = [
     "BUMP_COMPACT",
     "PROFILES",
     "MIN_DELTA_FACTOR",
+    "MAX_DELTA",
     "Mollifier",
     "UnderResolvedKernelError",
     "check_profile",
@@ -33,6 +34,10 @@ PROFILES = (GAUSSIAN_PERIODIZED, BUMP_COMPACT)
 # convolution stops measuring anything; reject them outright.
 MIN_DELTA_FACTOR = 1.5
 
+# The wrapped Gaussian sums about 4 delta periodic shifts, so its sampling
+# time grows with delta; at 10 it is already flat to 1e-6 on the unit torus.
+MAX_DELTA = 10.0
+
 
 class UnderResolvedKernelError(ValueError):
     """Kernel scale delta too small for the grid spacing."""
@@ -46,7 +51,7 @@ def check_profile(profile: str) -> None:
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Convolution kernel family member: a profile shape at scale delta > 0.
+    """Convolution kernel family member: a profile shape at scale 0 < delta <= MAX_DELTA.
 
     Both profiles are nonnegative with unit mass after sampling; the
     gaussian profile is the wrapped Gaussian of standard deviation delta/3,
@@ -60,6 +65,8 @@ class Mollifier:
         check_profile(self.profile)
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.delta > MAX_DELTA:
+            raise ValueError(f"delta must be at most {MAX_DELTA}, got {self.delta}")
 
 
 def check_resolvable(m: Mollifier, grid: TorusGrid) -> None:

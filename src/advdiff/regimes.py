@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from html import escape
-from itertools import groupby
 
 __all__ = [
     "RegimeQuery",
@@ -233,12 +232,13 @@ def classify_exponents(d: int, alpha, p, q) -> RegimeReport:
 @dataclass(frozen=True)
 class RegionMap:
     """Rasterized (1/p, 1/q) square at one (d, 1/alpha) slice; cell (i, j) is sampled at its
-    center ((i + 0.5) / resolution, (j + 0.5) / resolution)."""
+    center ((i + 0.5) / resolution, (j + 0.5) / resolution).  ``rows[i]`` is row i as the runs
+    ``(start, stop, report)`` that tile ``[0, resolution)`` in order; neighbouring runs may share a report."""
 
     d: int
     inv_alpha: float
     resolution: int
-    reports: tuple[tuple[RegimeReport, ...], ...]  # indexed [i][j] for (inv_p, inv_q)
+    rows: tuple[tuple[tuple[int, int, RegimeReport], ...], ...]
 
 
 # Bytes of one cell's CSV line and SVG <rect> line that no coordinate, label or colour shortens.
@@ -262,44 +262,28 @@ def check_resolution(resolution: int) -> None:
 def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
     """The (1/p, 1/q) square at (d, 1/alpha), ``resolution`` cells per side.
 
-    Each row is built from its runs: the cell rule is evaluated once between
-    consecutive cuts of ``_row``, and the row repeats that report object, so
-    a row costs at most 6 evaluations, not ``resolution``.
+    Each row is kept as its runs between consecutive cuts of ``_row``: the
+    cell rule is evaluated once per run, so a row costs at most 6
+    evaluations, not ``resolution``.
     """
     check_resolution(resolution)
     RegimeQuery(d=d, inv_alpha=inv_alpha, inv_p=0.5, inv_q=0.5)  # validates d and 1/alpha, once
     centers = [(i + 0.5) / resolution for i in range(resolution)]  # increasing, in (0, 1) by construction
-    reports = []
+    rows = []
     for inv_p in centers:
         cell, cuts = _row(d, inv_alpha, inv_p)
         bounds = sorted({0, resolution, *cuts(centers)})
-        row: list[RegimeReport] = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            row += [cell(centers[lo])] * (hi - lo)
-        reports.append(tuple(row))
-    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, reports=tuple(reports))
-
-
-def _runs(row: tuple[RegimeReport, ...]):
-    """(start, stop, report) of each run of equal reports in ``row``.
-
-    The cells of a run share one report object, which compares equal to
-    itself without reading a field.
-    """
-    start = 0
-    for rep, run in groupby(row):
-        stop = start + len(tuple(run))
-        yield start, stop, rep
-        start = stop
+        rows.append(tuple((lo, hi, cell(centers[lo])) for lo, hi in zip(bounds, bounds[1:])))
+    return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, rows=tuple(rows))
 
 
 def region_map_csv(rm: RegionMap) -> str:
-    """One line per cell; the lines of a run of equal reports come from one join."""
+    """One line per cell; the lines of a run come from one join."""
     centers = [f"{(i + 0.5) / rm.resolution:.17g}" for i in range(rm.resolution)]
     parts = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions\n"]
-    for inv_p, row in zip(centers, rm.reports):
+    for inv_p, row in zip(centers, rm.rows):
         head = f"{inv_p},"
-        for start, stop, rep in _runs(row):
+        for start, stop, rep in row:
             tail = f",{rep.csv_fields}\n"
             parts += (head, (tail + head).join(centers[start:stop]), tail)
     return "".join(parts)
@@ -323,9 +307,9 @@ def region_map_svg(rm: RegionMap) -> str:
     res = rm.resolution
     xs = [f'<rect x="{x0 + i * cell:.2f}"' for i in range(res)]
     ys = [f' y="{y0 + (res - 1 - j) * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="' for j in range(res)]
-    body = []  # the <rect> lines, each run of equal reports from one join
-    for x, row in zip(xs, rm.reports):
-        for start, stop, rep in _runs(row):
+    body = []  # the <rect> lines, each run's from one join
+    for x, row in zip(xs, rm.rows):
+        for start, stop, rep in row:
             label = rep.label
             color = labels.get(label)
             if color is None:

@@ -180,7 +180,10 @@ def solve(b: FieldSpec | None, u0: ScalarField, config: SolverConfig) -> Traject
         return sigma * spacing / mb if mb > 0.0 else math.inf
 
     dt_target = config.dt if config.dt is not None else min(_cfl_limit(0.0), config.t_final)
-    n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
+    try:
+        n_steps = max(1, int(math.ceil(config.t_final / dt_target - 1e-9)))
+    except (OverflowError, ZeroDivisionError):  # dt_target is subnormal or has underflowed to 0
+        raise ValueError(f"t_final={config.t_final} over dt={dt_target} is not a finite step count") from None
     dt = config.t_final / n_steps
 
     # Integrating factors: the exact heat flow over a full and a half step.

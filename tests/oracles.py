@@ -19,9 +19,11 @@ one more transform round trip.
 
 The regime classifier here evaluates every predicate at every point, with
 no part shared between the cells of a row, and builds a fresh report each
-time.  The region-map forms at the end format every cell of a ``RegionMap``
-from scratch: label, flag string and coordinates, once for the CSV and once
-for the SVG.  They read only the public fields of each report.
+time.  The region-map forms at the end expand a ``RegionMap``'s runs into
+its per-cell grid with ``cells``, which checks that each row's runs tile
+the row, and format every cell from scratch: label, flag string and
+coordinates, once for the CSV and once for the SVG.  They read only the
+public fields of each report.
 
 The time quadratures here are scipy's ``simpson`` and
 ``cumulative_simpson``.  The package imports no ``scipy.integrate``: it ports
@@ -450,11 +452,26 @@ def cell_label(report: RegimeReport) -> str:
     return f"{bits}|{tags}|{qs}"
 
 
+def cells(rm: RegionMap) -> list[list[RegimeReport]]:
+    """The report of every cell of ``rm``, indexed ``[i][j]`` for (1/p, 1/q); asserts that each row's runs tile ``[0, resolution)``."""
+    grid = []
+    for runs in rm.rows:
+        row: list[RegimeReport] = []
+        for start, stop, rep in runs:
+            assert start == len(row) < stop, (start, stop)
+            row += [rep] * (stop - start)
+        assert len(row) == rm.resolution
+        grid.append(row)
+    assert len(grid) == rm.resolution
+    return grid
+
+
 def region_map_csv(rm: RegionMap) -> str:
+    reports = cells(rm)
     lines = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions"]
     for i in range(rm.resolution):
         for j in range(rm.resolution):
-            rep = rm.reports[i][j]
+            rep = reports[i][j]
             inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
             flags = ",".join(str(int(f)) for f in _flags(rep))
             lines.append(
@@ -479,10 +496,11 @@ def region_map_svg(rm: RegionMap) -> str:
     labels: dict[str, str] = {}
     used_statements: list[str] = []
 
+    reports = cells(rm)
     body = []
     for i in range(rm.resolution):
         for j in range(rm.resolution):
-            rep = rm.reports[i][j]
+            rep = reports[i][j]
             label = cell_label(rep)
             if label not in labels:
                 labels[label] = _PALETTE[len(labels) % len(_PALETTE)]

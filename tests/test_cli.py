@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import advdiff.cli
+import advdiff.mollify
 import advdiff.regimes
 from advdiff.cli import (
     EXIT_GATES,
@@ -35,7 +36,7 @@ from lab import CATALOG
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(payload, indent=2))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
     return str(path)
 
 
@@ -636,6 +637,102 @@ BAD_CONFIGS = {
         dict(small_simulate_config(), field=MODULATED_SHEAR),
         "config error: field: alternating_shear with modulation_exponent > 0 is singular at t = 0, where simulate starts",
     ),
+    # the step count t_final / dt overflowed (OverflowError) or divided by a dt that underflowed to 0 (ZeroDivisionError)
+    "dt_subnormal": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 1, "dt": 1e-320}),
+        "config error: t_final=1.0 over dt=1e-320 is not a finite step count",
+    ),
+    "cfl_safety_subnormal": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 1, "cfl_safety": 5e-324}),
+        "config error: t_final=1.0 over dt=0.0 is not a finite step count",
+    ),
+    # the wrapped Gaussian sums about 4 delta periodic shifts: these never returned
+    "mollify_b_too_wide": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "mollify_b": 1e300}),
+        "config error: delta must be at most 10.0, got 1e+300",
+    ),
+    "delta0_too_wide": (["commutator"], small_commutator_config(delta0=1e300), "config error: delta must be at most 10.0, got 1e+300"),
+    "json_invalid": (["simulate"], "{not json", "not valid JSON"),
+    "top_level_list": (["simulate"], [small_simulate_config()], "top level must be an object"),
+    "grid_missing": (
+        ["simulate"],
+        {key: value for key, value in small_simulate_config().items() if key != "grid"},
+        "config error: config: missing required key 'grid'",
+    ),
+    "sine_mode_length": (["simulate"], small_simulate_config({"kind": "sine", "mode": [1]}), "config error: initial_datum: mode must have 2 entries"),
+    "center_length": (
+        ["simulate"],
+        small_simulate_config({"kind": "gaussian_bump", "center": [0.5], "width": 0.2}),
+        "config error: initial_datum: center must have 2 entries",
+    ),
+    "datum_kind_unknown": (["simulate"], small_simulate_config({"kind": "bogus"}), "config error: initial_datum: unknown initial datum kind 'bogus'"),
+    "t_final_zero": (["simulate"], small_simulate_config(solver={"t_final": 0, "dt": 0.001}), "config error: t_final must be positive"),
+    "dt_and_cfl_safety": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "cfl_safety": 0.5}),
+        "config error: set exactly one of dt (fixed step) and cfl_safety (CFL policy)",
+    ),
+    "neither_dt_nor_cfl_safety": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002}),
+        "config error: set exactly one of dt (fixed step) and cfl_safety (CFL policy)",
+    ),
+    "dt_zero": (["simulate"], small_simulate_config(solver={"t_final": 0.002, "dt": 0}), "config error: dt must be positive"),
+    "cfl_safety_above_one": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "cfl_safety": 1.5}),
+        "config error: cfl_safety must lie in (0, 1]",
+    ),
+    "mollify_b_zero": (
+        ["simulate"],
+        small_simulate_config(solver={"t_final": 0.002, "dt": 0.001, "mollify_b": 0}),
+        "config error: delta must be positive, got 0.0",
+    ),
+    "levels_one": (["commutator"], small_commutator_config(levels=1), "config error: schedule needs at least two levels"),
+    "levels_zero": (["commutator"], small_commutator_config(levels=0), "config error: need at least one level"),
+    "delta0_zero": (["commutator"], small_commutator_config(delta0=0), "config error: delta0 must be positive"),
+    "norm_unknown": (["commutator"], small_commutator_config(norm="L2"), "config error: norm must be one of ('L1_spacetime', 'L2_Hminus1')"),
+    "time_samples_zero": (["commutator"], small_commutator_config(time_samples=0), "config error: time_samples must be >= 1"),
+    "study_t_final_zero": (["commutator"], small_commutator_config(t_final=0), "config error: t_final must be positive"),
+    "field_unknown": (["simulate"], dict(small_simulate_config(), field={"name": "bogus"}), "config error: unknown field 'bogus'"),
+    "field_param_unknown": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "shear", "params": {"bogus": 1}}),
+        "config error: field 'shear' does not take parameter 'bogus'",
+    ),
+    "exponent_two": (
+        ["commutator"],
+        dict(small_commutator_config(), field={"name": "power_singularity", "params": {"exponent": 2.0}}),
+        "config error: power_singularity exponent must lie in (0, 2), got 2.0",
+    ),
+    "cutoff_radius_above_half": (
+        ["commutator"],
+        dict(small_commutator_config(), field={"name": "power_singularity", "params": {"cutoff_radius": 0.6}}),
+        "config error: cutoff_radius must lie in (0, 0.5]",
+    ),
+    "cells_fractional": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "shear", "params": {"cells": 1.5}}),
+        "config error: cells must be a positive integer, got 1.5",
+    ),
+    "period_zero": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "alternating_shear", "params": {"period": 0}}),
+        "config error: period must be positive",
+    ),
+    "modulation_exponent_negative": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "alternating_shear", "params": {"modulation_exponent": -1}}),
+        "config error: modulation_exponent must be nonnegative",
+    ),
+    "radius_above_half": (
+        ["simulate"],
+        dict(small_simulate_config(), field={"name": "rotation_bump", "params": {"radius": 0.6}}),
+        "config error: radius must lie in (0, 0.5]",
+    ),
     "regime_d_zero": (["regime", "map"], {"kind": "regime-map", "d": 0, "resolution": 16}, "config error: dimension must be >= 1"),
     "regime_d_negative": (["regime", "map"], {"kind": "regime-map", "d": -1, "resolution": 16}, "config error: dimension must be >= 1"),
     "regime_resolution_below_16": (["regime", "map"], {"kind": "regime-map", "d": 3, "resolution": 8}, "config error: resolution must be >= 16, got 8"),
@@ -653,6 +750,8 @@ class TestConfigValidation:
     def test_bad_config_exits_schema(self, tmp_path, capsys, monkeypatch, case):
         emit = advdiff.regimes.emit_region_map  # a map past 64 cells per side here is a refused resolution that reached compute
         monkeypatch.setattr("advdiff.regimes.emit_region_map", lambda d, a, r: emit(d, a, r) if r <= 64 else pytest.fail(f"emitted {r}^2 cells"))
+        sample = advdiff.mollify._sample_kernel  # a kernel past delta 10 here is a refused width that reached compute
+        monkeypatch.setattr("advdiff.mollify._sample_kernel", lambda m, g: sample(m, g) if m.delta <= 10 else pytest.fail(f"sampled delta={m.delta}"))
         command, cfg, fragment = BAD_CONFIGS[case]
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, "cfg.json", cfg)

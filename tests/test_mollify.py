@@ -9,6 +9,7 @@ from advdiff.library import FieldSpec, instantiate
 from advdiff.mollify import (
     BUMP_COMPACT,
     GAUSSIAN_PERIODIZED,
+    MAX_DELTA,
     MIN_DELTA_FACTOR,
     Mollifier,
     UnderResolvedKernelError,
@@ -32,6 +33,13 @@ class TestMollifierValidation:
     def test_nonpositive_delta(self):
         with pytest.raises(ValueError, match="delta"):
             Mollifier(GAUSSIAN_PERIODIZED, 0.0)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_delta_beyond_max_refused(self, profile):
+        # sampling the wrapped Gaussian takes time linear in delta; 1e300 never returned
+        Mollifier(profile, MAX_DELTA)
+        with pytest.raises(ValueError, match=r"delta must be at most 10\.0, got 1e\+300"):
+            Mollifier(profile, 1e300)
 
     def test_under_resolved_kernel_rejected(self, line256):
         delta = 0.9 * MIN_DELTA_FACTOR * line256.spacing

@@ -176,17 +176,18 @@ class TestRegionMap:
 
     def test_d2_slice_structure(self):
         rm = emit_region_map(2, 0.0, 32)
+        reports = oracles.cells(rm)
         for i in range(32):
             for j in range(32):
                 inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
-                rep = rm.reports[i][j]
+                rep = reports[i][j]
                 assert rep.product_defined == (inv_p + inv_q <= 1.0)
                 assert rep.parabolic_exists == (inv_p <= 0.5 and inv_q <= 0.5)
 
     def test_d3_wedge_inside_cube(self):
-        rm = emit_region_map(3, 0.0, 32)
-        wedge = {(i, j) for i in range(32) for j in range(32) if rm.reports[i][j].all_distributional_parabolic}
-        cube = {(i, j) for i in range(32) for j in range(32) if rm.reports[i][j].parabolic_unique}
+        reports = oracles.cells(emit_region_map(3, 0.0, 32))
+        wedge = {(i, j) for i in range(32) for j in range(32) if reports[i][j].all_distributional_parabolic}
+        cube = {(i, j) for i in range(32) for j in range(32) if reports[i][j].parabolic_unique}
         assert wedge and wedge < cube  # strict inclusion
 
     def test_csv_shape(self):
@@ -214,15 +215,14 @@ def test_region_map_outputs_match_per_cell_oracle(d, inv_alpha, resolution):
     rm = emit_region_map(d, inv_alpha, resolution)
     assert region_map_csv(rm) == oracles.region_map_csv(rm)
     assert region_map_svg(rm) == oracles.region_map_svg(rm)
-    for row in rm.reports:
+    for row in oracles.cells(rm):
         for rep in row:
             assert rep.label == oracles.cell_label(rep)
 
 
 class TestSharedReports:
     def test_one_report_object_per_region(self):
-        rm = emit_region_map(3, 0.0, 64)
-        reports = [rep for row in rm.reports for rep in row]
+        reports = [rep for row in oracles.cells(emit_region_map(3, 0.0, 64)) for rep in row]
         assert len({id(rep) for rep in reports}) <= len({rep.label for rep in reports})
 
     def test_same_region_same_object(self):
@@ -240,10 +240,11 @@ class TestSharedReports:
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_region_map_reports_match_per_cell_classifier(d, inv_alpha, resolution):
     rm = emit_region_map(d, inv_alpha, resolution)
+    reports = oracles.cells(rm)
     for i in range(resolution):
         for j in range(resolution):
             inv_p, inv_q = (i + 0.5) / rm.resolution, (j + 0.5) / rm.resolution
-            assert rm.reports[i][j].as_dict() == oracles.classify(d, inv_alpha, inv_p, inv_q).as_dict()
+            assert reports[i][j].as_dict() == oracles.classify(d, inv_alpha, inv_p, inv_q).as_dict()
 
 
 def test_region_map_evaluates_the_cell_rule_per_run(monkeypatch):
@@ -265,6 +266,14 @@ def test_region_map_evaluates_the_cell_rule_per_run(monkeypatch):
     assert 256 <= len(calls) <= 8 * 256
 
 
+def test_region_map_stores_each_row_as_run_tuples():
+    # a 256^2 map is 256 rows of at most 6 runs, not 65,536 cells; cells() asserts that they tile each row
+    rm = emit_region_map(3, 0.0, 256)
+    assert len(rm.rows) == 256
+    assert max(len(row) for row in rm.rows) <= 6
+    assert len(oracles.cells(rm)) == 256
+
+
 @hypothesis.given(
     d=st.integers(min_value=1, max_value=4),
     inv_alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
@@ -274,7 +283,7 @@ def test_region_map_evaluates_the_cell_rule_per_run(monkeypatch):
 def test_region_map_by_runs_matches_per_cell_classifier(d, inv_alpha, resolution):
     # odd resolutions put a cell centre on 1/q = 1/2 exactly, even ones reach 1/p + 1/q = 1
     rm = emit_region_map(d, inv_alpha, resolution)
-    for i, row in enumerate(rm.reports):
+    for i, row in enumerate(oracles.cells(rm)):
         for j, rep in enumerate(row):
             assert rep.as_dict() == oracles.classify(d, inv_alpha, (i + 0.5) / resolution, (j + 0.5) / resolution).as_dict(), (i, j)
 
