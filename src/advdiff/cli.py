@@ -523,10 +523,10 @@ _RUNS = {
 def run_config(command: str, config: str | Path, out: str | Path, threads: int = 1) -> tuple[dict[str, bool], Path]:
     """Run one config command (a key of ``_RUNS``): parse, compute and gate, publish to ``out``.
 
-    ``threads`` sets the scipy.fft workers of each transform in the compute;
-    no output depends on it.  Returns the gates and the output directory.  A
-    bad config raises a ``ValueError``, a numerical abort ``SolverAbort`` and
-    an I/O failure ``OSError``; nothing is published then.
+    ``threads`` sets ``spectral.set_workers``, the pocketfft threads of each
+    transform in the compute; no output depends on it.  Returns the gates and
+    the output directory.  A bad config raises a ``ValueError``, a numerical
+    abort ``SolverAbort`` and an I/O failure ``OSError``; nothing is published then.
     """
     import hashlib
 
@@ -545,11 +545,10 @@ def run_config(command: str, config: str | Path, out: str | Path, threads: int =
     versions = {"advdiff": __version__, "python": sys.version.split()[0]}
     workers = contextlib.nullcontext()  # the regime map has no transforms and loads no scipy
     if kind != "regime-map":
-        import numpy as np
-        import scipy.fft
+        from .spectral import set_workers
 
-        versions |= {"numpy": np.__version__, "scipy": scipy.__version__}
-        workers = scipy.fft.set_workers(threads)
+        versions |= {lib: sys.modules[lib].__version__ for lib in ("numpy", "scipy")}
+        workers = set_workers(threads)
 
     with _publish(out_dir) as files:
         start = time.perf_counter()
@@ -590,7 +589,7 @@ def _parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="scipy.fft workers per transform (default 1); outputs never depend on it")
+        p.add_argument("--threads", type=int, default=1, help="pocketfft threads per transform (default 1); outputs never depend on it")
 
     add_run(sub, "simulate", "simulate", "run the advection-diffusion solver")
     add_run(sub, "commutator", "commutator", "run a commutator decay study")

@@ -94,8 +94,6 @@ class CommutatorStudyConfig:
         sched = tuple(float(d) for d in self.delta_schedule)
         if len(sched) < 2:
             raise ValueError("schedule needs at least two levels")
-        if any(d <= 0.0 for d in sched):
-            raise ValueError("kernel scales must be positive")
         if any(later >= earlier for earlier, later in zip(sched, sched[1:])):
             raise ValueError("delta schedule must be strictly decreasing")
         if self.norm not in NORM_TYPES:

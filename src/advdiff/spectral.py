@@ -1,30 +1,56 @@
 """Real-to-complex spectral core: exact spectral calculus, projection and dealiasing.
 
 Every field in this package is real, so its Fourier coefficients live in the
-half-spectrum layout of ``scipy.fft.rfftn``: the last axis keeps only the
-modes 0, ..., N/2, the other axes keep the full FFT order.  One cached
-``SpectralCore`` per grid owns that layout and the symbols built on it.
+half-spectrum layout of pocketfft's ``r2c``, the kernel this module calls and
+``scipy.fft.rfftn`` wraps: the last axis keeps the modes 0, ..., N/2, the
+others the full FFT order.  One cached ``SpectralCore`` per grid owns both.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from .grid import ScalarField, TorusGrid, VectorField
 
 __all__ = [
     "SpectralCore",
     "spectral_core",
+    "set_workers",
     "gradient",
     "divergence",
     "perp_gradient",
     "leray_project",
     "divergence_defect",
 ]
+
+
+# scipy's pocketfft extension, loaded by path: importing scipy.fft would load scipy.special too.
+# A missing or broken file falls back to that import of the same kernel.
+_spec = importlib.util.spec_from_file_location("scipy.fft._pocketfft.pypocketfft", f"{scipy.__path__[0]}/fft/_pocketfft/pypocketfft{EXTENSION_SUFFIXES[0]}")
+try:
+    _pocketfft = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_pocketfft)
+except ImportError:
+    _pocketfft = importlib.import_module("scipy.fft._pocketfft.pypocketfft")
+_workers = 1  # threads per transform
+
+
+@contextlib.contextmanager
+def set_workers(n: int):
+    """Run every transform inside the block on ``n`` threads, as ``scipy.fft.set_workers`` does."""
+    global _workers
+    previous, _workers = _workers, n
+    try:
+        yield
+    finally:
+        _workers = previous
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -46,7 +72,7 @@ class SpectralCore:
     mask and ``weights`` the Parseval multiplicity of each stored mode (1 on
     the k_last = 0 and N/2 planes, 2 elsewhere).
 
-    The transforms are looked up on ``scipy.fft`` at every call, never stored.
+    The transforms look the kernel and ``_workers`` up on the module at every call.
     """
 
     grid: TorusGrid
@@ -59,10 +85,12 @@ class SpectralCore:
     weights: np.ndarray
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(values)
+        """``scipy.fft.rfftn(values)`` for float64 ``values``, as ``ScalarField`` holds; unlike scipy's wrapper, the kernel casts no dtype."""
+        return _pocketfft.r2c(values, range(values.ndim), True, 0, None, _workers)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(coeffs, s=self.grid.shape)
+        """``scipy.fft.irfftn(coeffs, s=grid.shape)`` for complex128 ``coeffs``; unlike scipy's wrapper, the kernel casts no dtype."""
+        return _pocketfft.c2r(coeffs, range(coeffs.ndim), self.grid.points_per_axis, False, 2, None, _workers)
 
     def parseval_sum(self, coeffs: np.ndarray, multiplier) -> float:
         """sum over the full lattice of multiplier(k) |coeffs(k)|^2, for an even multiplier."""
@@ -83,7 +111,7 @@ def spectral_core(grid: TorusGrid) -> SpectralCore:
     """The cached spectral core of ``grid``."""
     n = grid.points_per_axis
     nyq = n // 2
-    full = np.fft.fftfreq(n) * n  # {0, ..., N/2-1, -N/2, ..., -1}
+    full = np.roll(np.arange(-nyq, nyq, dtype=np.float64), nyq)  # {0, ..., N/2-1, -N/2, ..., -1}
     half = np.arange(nyq + 1, dtype=np.float64)
     lattice = np.meshgrid(*([full] * (grid.dim - 1) + [half]), indexing="ij", sparse=True)
     shape = grid.shape[:-1] + (nyq + 1,)

@@ -42,24 +42,34 @@ def random_field(grid: TorusGrid, seed: int, max_mode: int = 5, count: int = 8) 
 
 
 def count_transforms(monkeypatch) -> list:
-    """Record the name of every numpy.fft and scipy.fft transform call in the returned list.
+    """Record the name of every numpy.fft transform and pocketfft kernel call in the returned list.
 
-    Each transform is replaced where it is looked up, on its own module, so a
-    transform function cached anywhere else would escape the count.
+    Each transform is replaced where it is looked up: numpy's on ``numpy.fft``,
+    the kernel's as ``advdiff.spectral._pocketfft``, whose ``r2c`` and ``c2r``
+    are recorded as ``rfftn`` and ``irfftn``, the scipy.fft transforms they
+    compute.  A transform function cached anywhere else would escape the count.
     """
+    import types
+
     import numpy.fft
-    import scipy.fft
+
+    import advdiff.spectral
 
     calls = []
-    for mod in (numpy.fft, scipy.fft):
-        for name in [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]:
-            original = getattr(mod, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+    def counted(mod, name, recorded):
+        original = getattr(mod, name)
 
-            monkeypatch.setattr(mod, name, counted)
+        def call(*args, **kwargs):
+            calls.append(recorded)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in [k + s for k in ("fft", "ifft", "rfft", "irfft") for s in ("", "2", "n")]:
+        monkeypatch.setattr(numpy.fft, name, counted(numpy.fft, name, name))
+    kernel = advdiff.spectral._pocketfft
+    monkeypatch.setattr(advdiff.spectral, "_pocketfft", types.SimpleNamespace(r2c=counted(kernel, "r2c", "rfftn"), c2r=counted(kernel, "c2r", "irfftn")))
     return calls
 
 

@@ -1114,22 +1114,25 @@ def test_manifest_versions_are_the_imported_libraries(tmp_path, argv, cfg):
     ids=["simulate", "commutator", "fields_audit"],
 )
 def test_threads_set_the_workers_of_every_transform(tmp_path, monkeypatch, argv, cfg):
-    import scipy.fft
+    import types
 
-    from advdiff.spectral import SpectralCore
+    import advdiff.spectral
 
     workers = []
-    forward = SpectralCore.forward
+    kernel = advdiff.spectral._pocketfft
 
-    def spied(self, values):
-        workers.append(scipy.fft.get_workers())
-        return forward(self, values)
+    def spied(transform):
+        def call(*args):
+            workers.append(args[-1])  # the kernel's last argument is its thread count
+            return transform(*args)
 
-    monkeypatch.setattr(SpectralCore, "forward", spied)
+        return call
+
+    monkeypatch.setattr(advdiff.spectral, "_pocketfft", types.SimpleNamespace(r2c=spied(kernel.r2c), c2r=spied(kernel.c2r)))
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     assert main([*argv, "--config", cfg_path, "--out", str(tmp_path / "out"), "--threads", "3"]) == EXIT_OK
     assert workers and set(workers) == {3}
-    assert scipy.fft.get_workers() == 1  # restored when the compute ends
+    assert advdiff.spectral._workers == 1  # restored when the compute ends
 
 
 def test_readme_shows_a_config_of_every_kind():

@@ -119,6 +119,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="decreasing"):
             CommutatorStudyConfig(b_source=FieldSpec("shear"), w_source=w, delta_schedule=(0.1, 0.2))
 
+    def test_scales_must_be_positive(self, grid32):
+        # the Mollifier each level builds refuses the scale
+        w = random_field(grid32, seed=70)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            CommutatorStudyConfig(b_source=FieldSpec("shear"), w_source=w, delta_schedule=(0.1, 0.0))
+
     def test_norm_name_checked(self, grid32):
         w = random_field(grid32, seed=70)
         with pytest.raises(ValueError, match="norm"):

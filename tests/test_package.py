@@ -149,6 +149,9 @@ def test_numeric_commands_load_nothing_after_compute_starts(observe, run):
         assert "advdiff.mollify" not in seen["at_exit"]
     # the package ports the one Simpson rule a command runs and imports no scipy.integrate
     assert "scipy.integrate" not in seen["at_exit"]
+    # the transforms load pocketfft's kernel by path, without scipy.fft's import and the
+    # importlib.metadata it brought; the manifest reads versions from the loaded modules
+    assert not {"scipy.fft", "importlib.metadata"} & set(seen["at_exit"])
 
 
 @pytest.mark.parametrize("run", sorted(CONFIG_RUNS))
@@ -174,6 +177,8 @@ def test_numeric_commands_create_no_random_after_compute_starts(observe, run):
         ("advdiff.commutators", {"advdiff.solver"}),
         # the catalog samples fields; smoothing a sample is the solver's step
         ("advdiff.library", {"advdiff.mollify"}),
+        # the transforms call the pocketfft kernel that scipy.fft wraps, loaded from its file
+        ("advdiff.spectral", {"scipy.fft"}),
     ],
 )
 def test_import_leaves_out(module, unwanted):
@@ -448,8 +453,8 @@ def test_no_module_imports_scipy_integrate():
 
 
 def test_no_module_reads_distribution_metadata():
-    # the manifest reads __version__ from loaded modules; scipy.fft loads importlib.metadata anyway,
-    # so only the source shows a numeric command starting to scan sys.path for versions again
+    # the manifest reads __version__ from loaded modules; the runs above show that no command loads
+    # importlib.metadata, and the source shows an import on a path that no run takes
     strays = [path.name for path in sorted((ROOT / "src" / "advdiff").glob("*.py")) if "importlib.metadata" in imports_of(path.read_text())]
     assert strays == []
 

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from advdiff.spectral import (
     gradient,
     leray_project,
     perp_gradient,
+    set_workers,
     spectral_core,
 )
 
@@ -81,6 +86,65 @@ class TestTransform:
         back = forward(inverse(grid32, coeffs))
         assert back[1, 0] == pytest.approx(0.5, abs=1e-15)
         assert back[-1, 0] == pytest.approx(0.5, abs=1e-15)
+
+
+# The spectral core calls pocketfft's kernel, not scipy.fft's wrappers around it, and loads it from
+# scipy's private layout: these pin that the bits are scipy.fft's, however the kernel was loaded.
+KERNEL_GRIDS = [(1, 256), (2, 64), (3, 16)]
+
+
+def transform_bytes(x: np.ndarray) -> tuple:
+    return x.shape, x.dtype, x.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", KERNEL_GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_matches_scipy_fft_bit_for_bit(dim, n, workers):
+    import scipy.fft
+
+    g = TorusGrid(dim, n)
+    core = spectral_core(g)
+    values = np.random.default_rng(dim).normal(size=g.shape)
+    lifted = np.broadcast_to(values[:1], g.shape)  # read-only, stride 0 on the first axis, as the 3D lift
+    with set_workers(workers), scipy.fft.set_workers(workers):
+        for x in (values, lifted):
+            ours, theirs = core.forward(x), scipy.fft.rfftn(x)
+            assert transform_bytes(ours) == transform_bytes(theirs)
+            assert transform_bytes(core.inverse(ours)) == transform_bytes(scipy.fft.irfftn(theirs, s=g.shape))
+
+
+FALLBACK = """
+import importlib.util, sys
+import numpy as np
+
+by_path = importlib.util.spec_from_file_location
+importlib.util.spec_from_file_location = lambda name, path: by_path(name, path.replace("pypocketfft", "missing"))
+import advdiff.spectral as spectral
+importlib.util.spec_from_file_location = by_path
+assert "scipy.fft" in sys.modules  # the fallback imported the kernel through scipy.fft
+
+import scipy.fft
+from advdiff.grid import TorusGrid
+
+for dim, n in {grids!r}:
+    g = TorusGrid(dim, n)
+    core = spectral.spectral_core(g)
+    x = np.random.default_rng(dim).normal(size=g.shape)
+    ours, theirs = core.forward(x), scipy.fft.rfftn(x)
+    assert ours.tobytes() == theirs.tobytes(), dim
+    assert core.inverse(ours).tobytes() == scipy.fft.irfftn(theirs, s=g.shape).tobytes(), dim
+print("same bits")
+"""
+
+
+def test_kernel_fallback_load_gives_the_same_bits():
+    # the by-path lookup finds no file, so spectral imports the kernel through scipy.fft
+    root = Path(__file__).resolve().parent.parent
+    code = FALLBACK.format(grids=KERNEL_GRIDS)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "same bits\n"
 
 
 class TestDerivatives:
