@@ -244,6 +244,10 @@ def _check_target(out_dir: Path) -> None:
 def _publish(out_dir: Path):
     """Stage a sibling of ``out_dir``; on a clean exit, write the files put in the yielded dict there and rename them into place.
 
+    A payload is ``bytes``, a ``str``, or an iterable of ``str`` chunks,
+    which is written chunk by chunk as it yields, in the text mode of
+    ``Path.write_text``, so the whole file is never held in memory.
+
     The stage is made on entry, before the compute: the first ``mkdtemp``
     creates ``tempfile``'s process-lifetime name generator, which made after
     the compute would sit above the heap the compute freed and pin it.  A
@@ -253,7 +257,7 @@ def _publish(out_dir: Path):
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out_dir.parent))
     try:
-        files: dict[str, str | bytes] = {}
+        files: dict[str, str | bytes | Iterable[str]] = {}
         yield files
         _check_target(out_dir)  # again: the directory may have changed during the compute
         new, old = stage / "run", stage / "previous"
@@ -261,8 +265,11 @@ def _publish(out_dir: Path):
         for name, payload in files.items():
             if isinstance(payload, bytes):
                 (new / name).write_bytes(payload)
-            else:
+            elif isinstance(payload, str):
                 (new / name).write_text(payload)
+            else:
+                with (new / name).open("w") as f:
+                    f.writelines(payload)
         if out_dir.exists():
             out_dir.rename(old)
         try:
@@ -305,7 +312,8 @@ def _manifest(
 # ---------------------------------------------------------------- runners --
 # ``run_<kind>(cfg)`` pops its keys from ``cfg`` and returns
 # (grid, tolerances, compute); ``compute()`` runs the work and the gates and
-# returns (gates, metrics, render); ``render()`` returns {file name: payload}.
+# returns (gates, metrics, render); ``render()`` returns {file name: payload},
+# a payload being what ``_publish`` writes: bytes, a str or an iterable of str chunks.
 
 _DIAG_COLUMNS = ("t", "l1", "l2", "l4", "linf", "grad_l2_sq_cum", "energy_lhs", "mean", "beta_arctan")
 

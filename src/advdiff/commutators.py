@@ -43,12 +43,13 @@ class _Transport:
 
     Holds b, the coefficients of w and those of b . grad w, so a kernel level
     costs d inverse transforms and one more: an inverse for r^delta, a forward for its coefficients.
+    ``w_hat``, if given, is w's coefficients from an earlier transport of the same w.
     """
 
-    def __init__(self, b: VectorField, w: ScalarField) -> None:
+    def __init__(self, b: VectorField, w: ScalarField, w_hat: np.ndarray | None = None) -> None:
         self.b = b
         self.core = spectral_core(w.grid)
-        self.w_hat = self.core.forward(w.values)
+        self.w_hat = self.core.forward(w.values) if w_hat is None else w_hat
         self.advected_hat = self.core.forward(self._dot_grad(self.w_hat))
 
     def _dot_grad(self, coeffs: np.ndarray) -> np.ndarray:
@@ -161,16 +162,19 @@ def convergence_study(cfg: CommutatorStudyConfig) -> DecayStudy:
     Time nodes are the outer loop.  At the first node of each ``library.sample_key``
     b is instantiated, the delta-independent half of the commutator built once and
     every level's term kept under the key; each node adds its key's terms times its
-    weight, in node order.  Only the terms are kept per key.
+    weight, in node order.  Only the terms are kept per key; w's coefficients are
+    computed by the first key's transport and reused by every later one.
     """
     grid = cfg.grid
     mults = [kernel_multiplier(Mollifier(cfg.mollifier_profile, d), grid) for d in cfg.delta_schedule]
     terms: dict[int | float | None, list[float]] = {}
+    w_hat = None
     acc = [0.0] * len(mults)
     for t, wt in zip(*_time_nodes(cfg)):
         key = sample_key(cfg.b_source, float(t))
         if key not in terms:
-            transport = _Transport(instantiate(cfg.b_source, grid, float(t)), cfg.w_source)
+            transport = _Transport(instantiate(cfg.b_source, grid, float(t)), cfg.w_source, w_hat)
+            w_hat = transport.w_hat
             terms[key] = [_level_term(cfg.norm, transport, mult) for mult in mults]
         for j, term in enumerate(terms[key]):
             acc[j] += term * wt

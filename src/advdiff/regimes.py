@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from html import escape
@@ -247,7 +248,8 @@ _CELL_BYTES_FLOOR = len(",,0,0,0,0,0,-,-\n") + len('<rect x="" y="" width="" hei
 
 def check_resolution(resolution: int) -> None:
     """Refuse a region-map resolution below 16, or one whose ``map.csv`` and
-    ``map.svg`` alone would not fit in physical memory."""
+    ``map.svg`` together would be larger than physical memory.  The files are
+    written a row at a time, so this bounds their size, not the run's memory."""
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     floor = _CELL_BYTES_FLOOR * resolution**2
@@ -277,16 +279,17 @@ def emit_region_map(d: int, inv_alpha: float, resolution: int) -> RegionMap:
     return RegionMap(d=d, inv_alpha=inv_alpha, resolution=resolution, rows=tuple(rows))
 
 
-def region_map_csv(rm: RegionMap) -> str:
-    """One line per cell; the lines of a run come from one join."""
+def region_map_csv(rm: RegionMap) -> Iterator[str]:
+    """Yield the header, then one chunk per row: one line per cell, the lines of a run from one join."""
     centers = [f"{(i + 0.5) / rm.resolution:.17g}" for i in range(rm.resolution)]
-    parts = ["inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions\n"]
+    yield "inv_p,inv_q," + ",".join(FLAG_NAMES) + ",nonuniqueness,open_questions\n"
     for inv_p, row in zip(centers, rm.rows):
         head = f"{inv_p},"
+        parts = []
         for start, stop, rep in row:
             tail = f",{rep.csv_fields}\n"
             parts += (head, (tail + head).join(centers[start:stop]), tail)
-    return "".join(parts)
+        yield "".join(parts)
 
 
 _PALETTE = (
@@ -296,29 +299,25 @@ _PALETTE = (
 )
 
 
-def region_map_svg(rm: RegionMap) -> str:
-    """One fill per distinct flag/tag/question combination plus a citation legend."""
+def region_map_svg(rm: RegionMap) -> Iterator[str]:
+    """Yield the head, one chunk of <rect> lines per row, then the axes and the legend.
+
+    One fill per distinct flag/tag/question combination, assigned in row-major
+    order of first appearance, plus a citation legend; both are known before
+    the head, whose height depends on the legend.
+    """
     plot = 480.0
     x0, y0 = 70.0, 40.0
     cell = plot / rm.resolution
     labels: dict[str, str] = {}
     used_statements: list[str] = []
-
-    res = rm.resolution
-    xs = [f'<rect x="{x0 + i * cell:.2f}"' for i in range(res)]
-    ys = [f' y="{y0 + (res - 1 - j) * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="' for j in range(res)]
-    body = []  # the <rect> lines, each run's from one join
-    for x, row in zip(xs, rm.rows):
-        for start, stop, rep in row:
-            label = rep.label
-            color = labels.get(label)
-            if color is None:
-                color = labels[label] = _PALETTE[len(labels) % len(_PALETTE)]
+    for row in rm.rows:
+        for _, _, rep in row:
+            if rep.label not in labels:
+                labels[rep.label] = _PALETTE[len(labels) % len(_PALETTE)]
                 for sid, _ in rep.citations:
                     if sid not in used_statements:
                         used_statements.append(sid)
-            tail = f'{color}"/>\n'
-            body += (x, (tail + x).join(ys[start:stop]), tail)
 
     axes = [
         f'<rect x="{x0}" y="{y0}" width="{plot}" height="{plot}" fill="none" stroke="black"/>',
@@ -351,8 +350,17 @@ def region_map_svg(rm: RegionMap) -> str:
 
     height = max(y0 + plot + 60.0, ly + 20.0)
     width = lx + 620.0
-    head = (
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'font-family="monospace" font-size="12">\n'
     )
-    return "".join([head, *body, "\n".join(axes + legend), "\n</svg>\n"])  # one copy of the body
+    res = rm.resolution
+    xs = [f'<rect x="{x0 + i * cell:.2f}"' for i in range(res)]
+    ys = [f' y="{y0 + (res - 1 - j) * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="' for j in range(res)]
+    for x, row in zip(xs, rm.rows):
+        parts = []
+        for start, stop, rep in row:
+            tail = f'{labels[rep.label]}"/>\n'
+            parts += (x, (tail + x).join(ys[start:stop]), tail)
+        yield "".join(parts)
+    yield "\n".join(axes + legend) + "\n</svg>\n"

@@ -7,6 +7,7 @@ import pathlib
 import re
 import runpy
 import tempfile
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -1002,6 +1003,39 @@ class TestPublish:
 
         monkeypatch.setattr(pathlib.Path, "write_text", failing_write_text)
         assert self.run(tmp_path, out, seed=8) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o failure: disk full")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+    def run_map(self, tmp_path, out, resolution):
+        cfg_path = write_config(tmp_path, "map.json", {"kind": "regime-map", "d": 3, "alpha": "inf", "resolution": resolution})
+        return main(["regime", "map", "--config", cfg_path, "--out", str(out)])
+
+    def test_region_map_is_written_as_it_is_formatted(self, tmp_path):
+        # The 256^2 map's map.csv and map.svg take 7 MB; a warm request
+        # holds about one row of their text at a time.
+        out = tmp_path / "map"
+        assert self.run_map(tmp_path, out, 256) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert self.run_map(tmp_path, out, 256) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out / "map.csv").stat().st_size + (out / "map.svg").stat().st_size > 7_000_000
+        assert peak < 1_000_000
+
+    def test_failure_mid_stream_leaves_target_unchanged(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "map"
+        assert self.run_map(tmp_path, out, 16) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing_svg(rm):
+            yield "<svg>\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(advdiff.regimes, "region_map_svg", failing_svg)
+        assert self.run_map(tmp_path, out, 17) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o failure: disk full")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert not list(tmp_path.glob(".tmp-run-*"))

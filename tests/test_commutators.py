@@ -313,6 +313,22 @@ class TestStudyWorkCount:
         convergence_study(cfg)
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("nodes, transforms", [(4, 73), (8, 145)])
+    def test_modulated_study_transforms_w_once(self, monkeypatch, grid64, nodes, transforms):
+        # Each node its own sample: instantiate's divergence gate (2 forward + 1 inverse),
+        # the d inverses of grad w, the forward of b . grad w and 4 levels of d + 1
+        # transforms.  The forward of w is made once per study, not once per node.
+        schedule = dyadic_schedule(0.2, 4)
+        for delta in schedule:
+            kernel_multiplier(Mollifier("gaussian_periodized", delta), grid64)
+        cfg = CommutatorStudyConfig(
+            b_source=FieldSpec("alternating_shear", {"period": 0.25, "modulation_exponent": 0.5}),
+            w_source=random_field(grid64, seed=83), delta_schedule=schedule, norm=L2_HMINUS1, time_samples=nodes,
+        )
+        calls = count_transforms(monkeypatch)
+        convergence_study(cfg)
+        assert len(calls) == transforms == 1 + 18 * nodes
+
     def test_modulated_study_peak_memory_does_not_grow_with_nodes(self, grid64):
         w = random_field(grid64, seed=85)
 

@@ -192,13 +192,13 @@ class TestRegionMap:
 
     def test_csv_shape(self):
         rm = emit_region_map(2, 0.0, 16)
-        lines = region_map_csv(rm).splitlines()
+        lines = "".join(region_map_csv(rm)).splitlines()
         assert len(lines) == 1 + 16 * 16
         assert lines[0].startswith("inv_p,inv_q,product_defined")
 
     def test_svg_parses_and_has_cells(self):
         rm = emit_region_map(2, 0.0, 16)
-        svg = region_map_svg(rm)
+        svg = "".join(region_map_svg(rm))
         root = ET.fromstring(svg)
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) >= 16 * 16
@@ -213,11 +213,25 @@ class TestRegionMap:
 def test_region_map_outputs_match_per_cell_oracle(d, inv_alpha, resolution):
     # resolution 37 gives a non-dyadic cell width (.2f rounding) and a cell centre on 1/2; d = 3 crosses DISTR
     rm = emit_region_map(d, inv_alpha, resolution)
-    assert region_map_csv(rm) == oracles.region_map_csv(rm)
-    assert region_map_svg(rm) == oracles.region_map_svg(rm)
+    assert "".join(region_map_csv(rm)) == oracles.region_map_csv(rm)
+    assert "".join(region_map_svg(rm)) == oracles.region_map_svg(rm)
     for row in oracles.cells(rm):
         for rep in row:
             assert rep.label == oracles.cell_label(rep)
+
+
+def test_region_map_writers_yield_a_row_at_a_time():
+    # The benchmark's 256^2 map at d = 3: each writer yields its head, then
+    # each row's lines as one chunk, so no chunk is longer than one row's text.
+    rm = emit_region_map(3, 0.0, 256)
+    res = rm.resolution
+    for writer, oracle in ((region_map_csv, oracles.region_map_csv), (region_map_svg, oracles.region_map_svg)):
+        lines = oracle(rm).splitlines(keepends=True)
+        rows = ["".join(lines[1 + i * res : 1 + (i + 1) * res]) for i in range(res)]
+        chunks = list(writer(rm))
+        assert chunks[: 1 + res] == [lines[0], *rows]
+        assert "".join(chunks[1 + res :]) == "".join(lines[1 + res * res :])
+        assert max(map(len, chunks)) <= max(map(len, rows))
 
 
 class TestSharedReports:
